@@ -17,25 +17,19 @@ class Config:
     # grids
     grid_ny: int = 65
     strip_window: float = 8.0
-    modulus_h: float = 1.0 / 256
     # budgets
-    orbit_budget: int = 64
     search_budget: int = 24
     renorm_budget: int = 30
     max_tile_level: int = 24
     lamination_depth: int = 8
-    # tolerances
-    band_tol: float = 1e-9
-    edge_tol: float = 1e-12
     # misc
     seed: int = 0
     cache_dir: str = ""
 
     def __post_init__(self):
         for name in ("start_radius", "steps_per_halving", "newton_cap", "pot_lo", "grid_ny",
-                     "strip_window", "modulus_h", "orbit_budget", "search_budget",
-                     "renorm_budget", "max_tile_level", "lamination_depth", "band_tol",
-                     "edge_tol"):
+                     "strip_window", "search_budget", "renorm_budget", "max_tile_level",
+                     "lamination_depth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config key {name} must be positive")
 

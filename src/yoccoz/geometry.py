@@ -42,11 +42,6 @@ class RayPolyline:
     points: list[tuple[complex, float]]  # (z, potential), potentials decreasing
     residuals: list[float] = field(default_factory=list)
 
-    def point_at(self, potential: float) -> complex:
-        """Polyline point closest to the requested potential."""
-        k = min(range(len(self.points)), key=lambda i: abs(self.points[i][1] - potential))
-        return self.points[k][0]
-
 
 def fixed_points(c: complex):
     """alpha/beta fixed points of z^2 + c with their multipliers.

@@ -2,16 +2,24 @@
 ray-pair equivalence, and the slice dynamics on the critical-value sector.
 
 Polygon lists are materialized up to ``depth`` for reports and invariant
-checks.  All gap/criticality queries are answered lazily by a pullback
-recursion that bottoms out at the alpha polygon, so they work at any level
-(tau at level 40 needs gaps at level 40; 2^40 polygons cannot be stored).
-The lazy predicates are cross-validated against the stored lists in tests.
+checks.  Gap queries at any level come from the separation level L(u, w), the
+least level at which u and w lie in different gaps: L = 0 across the sectors
+of the alpha polygon, else L = 1 + min(L(2u, 2w), L(2u, theta_v)), the second
+term only if the critical leaf separates u and w.  Rational orbits are
+eventually periodic, so L(c, theta_v) on the critical-value orbit is one
+shortest-path search at build time, and L against any other orbit one
+backward pass capped at the query level: no recursion, no memo, any level
+(2^40 polygons cannot be stored).  Tests cross-check the queries against the
+stored lists.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 
 from .angles import Angle, ArcPosition, cyclic_sorted, double, from_fraction, in_arc, normalize
@@ -24,6 +32,7 @@ from .errors import (
 )
 
 MAX_MATERIALIZED_DEPTH = 18
+NEVER = math.inf  # separation level of two angles that no level separates
 
 
 @dataclass(frozen=True)
@@ -40,40 +49,23 @@ class Polygon:
 def alpha_cycle(p: int, q: int) -> list[Angle]:
     """The unique period-q cycle of doubling acting as rotation by p/q.
 
-    Brute force over cycles with denominator 2^q - 1, selecting the one whose
-    action on the circular order advances every angle by p positions.
+    Closed form for rotation sets (Goldberg; Bullett-Sentenac): binary digit
+    i = 0..q-1 of the least cycle angle is 1 iff (i p mod q) >= q - p.  The
+    cycle is that angle's q doublings, sorted.
     """
     from math import gcd
 
     if q < 2 or not (0 < p < q) or gcd(p, q) != 1:
         raise ValueError(f"need coprime 0 < p < q with q >= 2, got {p}/{q}")
     den = (1 << q) - 1
-    visited = bytearray(den)
-    found = None
-    for k in range(1, den):
-        if visited[k]:
-            continue
-        orb = [k]
-        cur = (2 * k) % den
-        while cur != k:
-            orb.append(cur)
-            cur = (2 * cur) % den
-        for v in orb:
-            visited[v] = 1
-        if len(orb) != q:
-            continue
-        srt = sorted(orb)
-        index = {v: i for i, v in enumerate(srt)}
-        shift = index[(2 * srt[0]) % den]
-        if shift != p:
-            continue
-        if all(index[(2 * srt[i]) % den] == (i + shift) % q for i in range(q)):
-            if found is not None:
-                raise YoccozError(f"internal error: two rotation-{p}/{q} cycles found")
-            found = srt
-    if found is None:
-        raise YoccozError(f"internal error: no rotation cycle for {p}/{q}")
-    return [normalize(v, den) for v in found]
+    num = 0
+    for i in range(q):
+        num = 2 * num + (i * p % q >= q - p)
+    orbit = []
+    for _ in range(q):
+        orbit.append(num)
+        num = 2 * num % den
+    return [normalize(v, den) for v in sorted(orbit)]
 
 
 def cycle_entry_step(theta: Angle, cycle: frozenset[Angle]) -> int | None:
@@ -89,6 +81,14 @@ def cycle_entry_step(theta: Angle, cycle: frozenset[Angle]) -> int | None:
     return None
 
 
+def _double(num: int, den: int) -> tuple[int, int]:
+    """Doubling on a reduced num/den; the result is reduced without a gcd."""
+    if den % 2 == 0:
+        den //= 2
+        return num % den, den
+    return 2 * num % den, den
+
+
 Arc = tuple[Angle, Angle]  # open ccw arc (start, end)
 
 
@@ -100,16 +100,16 @@ def arc_contains(arc: Arc, theta: Angle) -> bool:
     return in_arc(theta, arc[0], arc[1]) is ArcPosition.INSIDE
 
 
-def _half(theta: Angle) -> Angle:
-    return normalize(theta.num, 2 * theta.den)
+def _halves(theta: Angle) -> tuple[Angle, Angle]:
+    """The two preimages theta/2 and theta/2 + 1/2."""
+    return normalize(theta.num, 2 * theta.den), normalize(theta.num + theta.den, 2 * theta.den)
 
 
 def _preimage_arcs(arc: Arc) -> tuple[Arc, Arc]:
-    a = _half(arc[0])
-    half_len = arc_length(arc) / 2
-    b = a + half_len
-    a2 = a + Fraction(1, 2)
-    return (a, b), (a2, a2 + half_len)
+    (a0, a1), (b0, b1) = _halves(arc[0]), _halves(arc[1])
+    if arc[0].num * arc[1].den < arc[1].num * arc[0].den:
+        return (a0, b0), (a1, b1)
+    return (a0, b1), (a1, b0)  # the arc wraps past 0
 
 
 @dataclass
@@ -154,9 +154,19 @@ class Lamination:
         cyc = alpha_cycle(p, q)
         self.cycle = tuple(cyc)
         self.cycle_set = frozenset(cyc)
+        self._cycle_pairs = frozenset((a.num, a.den) for a in cyc)
 
+        # The critical-value orbit c_k = 2^k theta_v up to its first repeat or
+        # its first cycle angle (late landing), as (num, den) pairs.
+        orbit: list[tuple[int, int]] = []
+        self._orbit_index: dict[tuple[int, int], int] = {}
+        x = (theta_v.num, theta_v.den)
+        while x not in self._orbit_index and x not in self._cycle_pairs:
+            self._orbit_index[x] = len(orbit)
+            orbit.append(x)
+            x = _double(*x)
         # Degeneracy must win over the sector test (the 1/6 example is case 1).
-        self.entry_step = cycle_entry_step(theta_v, self.cycle_set)
+        self.entry_step = len(orbit) if x in self._cycle_pairs else None
         if self.entry_step is not None and self.entry_step <= depth:
             raise Case1DegenerateError(self.entry_step)
 
@@ -166,8 +176,7 @@ class Lamination:
                 f"theta_v={theta_v} is not strictly inside the critical-value sector "
                 f"({self.sector[0]}, {self.sector[1]})"
             )
-        h = _half(theta_v)
-        self.critical_leaf: tuple[Angle, Angle] = (h, h + Fraction(1, 2))
+        self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
 
         self.polygons: list[list[Polygon]] = [[Polygon(tuple(cyclic_sorted(cyc)), 0)]]
         for j in range(depth):
@@ -175,10 +184,19 @@ class Lamination:
                 [child for parent in self.polygons[j] for child in self._split(parent, j + 1)]
             )
 
-        self._same_gap_memo: dict = {}
-        self._trace_memo: dict = {}
-        self._entry_memo: dict[Angle, int | None] = {}
-        self._class_memo: dict[Angle, tuple[Angle, ...]] = {}
+        full = (1 << q) - 1
+        self._cycle_nums = [a.num * (full // a.den) for a in self.polygons[0][0].vertices]
+        self.critical_orbit = tuple(Angle(*c) for c in orbit)
+        self._succ = list(range(1, len(orbit))) + [self._orbit_index.get(x)]
+        self._orbit_pos = [self._position(*c) for c in orbit]
+        self._to_value = self._critical_values()
+        h = self.critical_leaf[0]
+        self._leaf_sector = self._position(h.num, h.den)[0]
+        # L(c_k, leaf) = 1 + L(c_{k+1}, theta_v) inside the leaf's sector
+        self.critical_leaf_levels = tuple(
+            0 if s != self._leaf_sector else 1 + (NEVER if t is None else self._to_value[t])
+            for (s, _), t in zip(self._orbit_pos, self._succ)
+        )
 
     # ------------------------------------------------------------------ build
 
@@ -188,181 +206,255 @@ class Lamination:
         return min(arcs, key=arc_length)
 
     def _split(self, parent: Polygon, depth: int) -> list[Polygon]:
-        h0, h1 = self.critical_leaf
-        side0, side1 = [], []
+        """The two preimage polygons of parent, on either side of the leaf."""
+        sides: tuple[list[Angle], list[Angle]] = ([], [])
         for v in parent.vertices:
-            for u in (_half(v), _half(v) + Fraction(1, 2)):
-                pos = in_arc(u, h0, h1)
-                if pos is ArcPosition.BOUNDARY:
+            for u in _halves(v):
+                if u in self.critical_leaf:
                     raise Case1DegenerateError(depth - 1)
-                (side0 if pos is ArcPosition.INSIDE else side1).append(u)
-        return [
-            Polygon(tuple(cyclic_sorted(side0)), depth),
-            Polygon(tuple(cyclic_sorted(side1)), depth),
-        ]
+                sides[self._leaf_side(u)].append(u)
+        return [Polygon(tuple(cyclic_sorted(side)), depth) for side in sides]
+
+    def _critical_values(self) -> list:
+        """L(c_a, theta_v) for every orbit point c_a, in O(P) memory.  The pair
+        (c_{a+t}, c_t) first splits sectors at some t, or never (it meets
+        itself, or repeats within P steps); each leaf split before that adds
+        the candidate t + 1 + L(c_{a+t+1}, theta_v).  That is a shortest-path
+        problem on the orbit.  A cycle-angle successor (late landing) ends the
+        walk; guard_level keeps queries off the levels where that matters."""
+        pos, succ, n = self._orbit_pos, self._succ, len(self._succ)
+        dist = [NEVER] * n
+        into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a in range(n):
+            i, j = a, 0
+            for t in range(n + 1):
+                if i == j or i is None:
+                    break
+                if pos[i][0] != pos[j][0]:
+                    dist[a] = t
+                    break
+                if pos[i][1] != pos[j][1] and succ[i] is not None:
+                    into[succ[i]].append((a, t + 1))
+                i, j = succ[i], succ[j]
+        heap = [(d, a) for a, d in enumerate(dist) if d != NEVER]
+        heapify(heap)
+        while heap:
+            d, b = heappop(heap)
+            if d == dist[b]:
+                for a, w in into[b]:
+                    if d + w < dist[a]:
+                        dist[a] = d + w
+                        heappush(heap, (d + w, a))
+        return dist
 
     # --------------------------------------------------------------- queries
 
+    def _position(self, num: int, den: int) -> tuple[int, int]:
+        """(level-0 sector index, critical-leaf side) of the angle num/den."""
+        k, rem = divmod(num * ((1 << self.q) - 1), den)
+        nums = self._cycle_nums
+        if rem:
+            count = bisect_right(nums, k)
+        else:
+            count = bisect_left(nums, k)
+            if count < len(nums) and nums[count] == k:
+                raise YoccozError(f"{Angle(num, den)} is a cycle angle")
+        return (count - 1) % self.q, self._side(num, den)
+
+    def _side(self, num: int, den: int) -> int:
+        """0 strictly inside the arc (h, h + 1/2) of the critical leaf, else 1."""
+        h = self.critical_leaf[0]
+        inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
+        return 0 if inside else 1
+
+    def _orbit_levels(self, theta: Angle, n: int) -> tuple[list[tuple[int, int]], list]:
+        """Positions of 2^m theta (m = 0..n) and min(L(2^m theta, theta_v), n + 1 - m)
+        (m = 0..n+1), by one O(n P) backward pass: the row of these values over
+        the critical orbit at m follows from the row at m + 1, and is zero past n."""
+        pos, x = [], (theta.num, theta.den)
+        for _ in range(n + 1):
+            pos.append(self._position(*x))
+            x = _double(*x)
+        orbit_pos, succ = self._orbit_pos, self._succ
+        row = [0] * len(succ)
+        out = [0] * (n + 2)
+        for m in range(n, -1, -1):
+            cap = n + 1 - m
+            s, d = pos[m]
+            to_value = row[0]
+            new = []
+            for (ks, kd), t in zip(orbit_pos, succ):
+                if ks != s:
+                    new.append(0)
+                    continue
+                v = cap if t is None else row[t]
+                if kd != d and to_value < v:
+                    v = to_value
+                new.append(min(v + 1, cap))
+            row = new
+            out[m] = row[0]
+        return pos, out
+
+    def _separation(self, level: int, u: Angle, w: Angle):
+        """min(L(u, w), level + 1)."""
+        cap = level + 1
+        if u == self.critical_leaf[0]:
+            u, w = w, u
+        if w == self.critical_leaf[0] and (u.num, u.den) in self._orbit_index:
+            return min(self.critical_leaf_levels[self._orbit_index[(u.num, u.den)]], cap)
+        # walk the pair's orbits to their first sector split; every leaf
+        # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
+        flips, stop = [], cap
+        x, y = (u.num, u.den), (w.num, w.den)
+        for j in range(cap):
+            if x == y:
+                break
+            (su, du), (sw, dw) = self._position(*x), self._position(*y)
+            if su != sw:
+                stop = j
+                break
+            if du != dw:
+                flips.append(j)
+            x, y = _double(*x), _double(*y)
+        if not flips:
+            return stop
+        r = self._orbit_levels(u, level)[1]
+        return min(stop, min(j + 1 + r[j + 1] for j in flips))
+
     def vertex_entry_step(self, theta: Angle) -> int | None:
         """Least depth at which theta is a polygon vertex (None: never)."""
-        if theta not in self._entry_memo:
-            self._entry_memo[theta] = cycle_entry_step(theta, self.cycle_set)
-        return self._entry_memo[theta]
+        return cycle_entry_step(theta, self.cycle_set)
 
     def is_vertex(self, theta: Angle, level: int) -> bool:
         """Bounded walk: theta is a depth <= level vertex iff its orbit meets
         the cycle within `level` doublings (no full-orbit scan needed)."""
-        if theta in self._entry_memo:
-            e = self._entry_memo[theta]
-            return e is not None and e <= level
-        cur = theta
-        for j in range(level + 1):
-            if cur in self.cycle_set:
+        x = (theta.num, theta.den)
+        for _ in range(level + 1):
+            if x in self._cycle_pairs:
                 return True
-            cur = double(cur)
+            x = _double(*x)
         return False
 
-    def orbit_hits_cycle_within(self, theta: Angle, steps: int) -> bool:
-        cur = theta
-        for _ in range(steps + 1):
-            if cur in self.cycle_set:
-                return True
-            cur = double(cur)
-        return False
-
-    def _guard_level(self, level: int):
+    def guard_level(self, level: int, *angles: Angle):
+        """Late landing: theta_v meets the cycle after entry_step doublings, so
+        gaps exist below that level only, and the gap of c_k = 2^k theta_v
+        only below entry_step - k."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        if self.entry_step is not None and level >= self.entry_step:
-            raise Case1DegenerateError(self.entry_step)
+        e = self.entry_step
+        if e is None:
+            return
+        if level >= e:
+            raise Case1DegenerateError(e)
+        for t in angles:
+            k = self._orbit_index.get((t.num, t.den))
+            if k is not None and k + level >= e:
+                raise Case1DegenerateError(e)
 
     def _leaf_side(self, theta: Angle) -> int:
-        return 0 if in_arc(theta, *self.critical_leaf) is ArcPosition.INSIDE else 1
+        return self._side(theta.num, theta.den)
 
-    def _sector_index(self, theta: Angle) -> int:
-        srt = list(self.polygons[0][0].vertices)
-        for i in range(len(srt)):
-            if in_arc(theta, srt[i], srt[(i + 1) % len(srt)]) is ArcPosition.INSIDE:
-                return i
-        raise YoccozError(f"{theta} is a cycle angle")
+    def _sector_arc(self, index: int) -> Arc:
+        srt = self.polygons[0][0].vertices
+        return srt[index], srt[(index + 1) % len(srt)]
 
     def same_gap(self, level: int, u: Angle, w: Angle) -> bool:
-        """True iff no polygon of depth <= level separates u from w on the circle.
+        """True iff no polygon of depth <= level separates u from w on the circle,
+        i.e. the separation level L(u, w) exceeds level.
 
-        Both angles must be non-vertices at this level.  Recursion: gaps at
-        level m are preimage components of gaps at level m-1; components are
-        the two critical-leaf halves unless the image gap holds theta_v.
+        Both angles must be non-vertices at this level.
         """
-        self._guard_level(level)
-        if u == w:
-            return True
-        key = (level, u, w) if u.frac <= w.frac else (level, w, u)
-        memo = self._same_gap_memo
-        if key in memo:
-            return memo[key]
-        if level == 0:
-            res = self._sector_index(u) == self._sector_index(w)
-        else:
-            du, dw = double(u), double(w)
-            if not self.same_gap(level - 1, du, dw):
-                res = False
-            elif self.same_gap(level - 1, du, self.theta_v):
-                res = True
-            else:
-                res = self._leaf_side(u) == self._leaf_side(w)
-        memo[key] = res
-        return res
+        self.guard_level(level, u, w)
+        return self._separation(level, u, w) > level
 
     def gap_is_critical(self, level: int, theta: Angle) -> bool:
         """The level gap of theta contains the critical leaf."""
         return self.same_gap(level, theta, self.critical_leaf[0])
 
+    def orbit_leaf_levels(self, theta: Angle, n: int) -> list:
+        """min(L(2^j theta, leaf), n + 1 - j) for j = 0..n: the level-m gap of
+        2^j theta is critical iff the j-th entry exceeds m (for m <= n - j)."""
+        pos, r = self._orbit_levels(theta, n)
+        return [0 if pos[j][0] != self._leaf_sector else 1 + r[j + 1] for j in range(n + 1)]
+
+    def _pull_back(self, arcs, side: int | None) -> tuple[Arc, ...]:
+        """Preimage arcs of a gap trace, kept on one side of the leaf unless
+        the image gap holds theta_v (then the preimage is one gap).  If it does
+        not, no leaf end lies in a preimage arc or at its start (a vertex), so
+        the start's side is the arc's side."""
+        halves = [h for arc in arcs for h in _preimage_arcs(arc)]
+        if side is not None:
+            halves = [arc for arc in halves if self._leaf_side(arc[0]) == side]
+        return tuple(sorted(halves, key=lambda a: a[0].frac))
+
     def trace(self, level: int, theta: Angle) -> tuple[Arc, ...]:
-        """Circle trace (boundary arcs) of the level gap containing theta."""
-        self._guard_level(level)
+        """Circle trace (boundary arcs) of the level gap containing theta:
+        the sector of 2^level theta, pulled back along the orbit."""
+        self.guard_level(level, theta)
         if self.is_vertex(theta, level):
             raise YoccozError(f"{theta} is a vertex at depth <= {level}")
-        if level == 0:
-            srt = list(self.polygons[0][0].vertices)
-            i = self._sector_index(theta)
-            return ((srt[i], srt[(i + 1) % len(srt)]),)
-        key = (level, theta)
-        if key in self._trace_memo:
-            return self._trace_memo[key]
-        parent = self.trace(level - 1, double(theta))
-        halves = [h for arc in parent for h in _preimage_arcs(arc)]
-        if not self.same_gap(level - 1, double(theta), self.theta_v):
-            side = self._leaf_side(theta)
-            halves = [
-                arc
-                for arc in halves
-                if self._leaf_side(from_fraction((arc[0].frac + arc_length(arc) / 2) % 1)) == side
-            ]
-        arcs = tuple(sorted(halves, key=lambda a: a[0].frac))
-        assert any(arc_contains(a, theta) for a in arcs), "probe fell off its own gap trace"
-        self._trace_memo[key] = arcs
+        pos, r = self._orbit_levels(theta, level)
+        arcs: tuple[Arc, ...] = (self._sector_arc(pos[level][0]),)
+        for m in range(level - 1, -1, -1):
+            arcs = self._pull_back(arcs, None if r[m + 1] >= level - m else pos[m][1])
+            assert any(arc_contains(a, double(theta, m)) for a in arcs), \
+                "probe fell off its own gap trace"
         return arcs
+
+    def critical_traces(self, top: int):
+        """Traces of the critical gap at levels 0..top.  The level-m gap of c_k
+        pulls back the level-(m-1) gap of c_{k+1}, so the sweep keeps one level,
+        and of it only the c_k with k + m < top that a later level needs."""
+        h = self.critical_leaf[0]
+        traces = [(self._sector_arc(s),) for s, _ in self._orbit_pos]
+        yield (self._sector_arc(self._leaf_sector),)
+        for level in range(1, top + 1):
+            self.guard_level(level)
+            arcs = self._pull_back(traces[0], None)  # 2h = theta_v: one gap
+            assert any(arc_contains(a, h) for a in arcs), "probe fell off its own gap trace"
+            yield arcs
+            new = []
+            for k, t in enumerate(self._succ):
+                if k + level >= top or t is None or traces[t] is None:
+                    new.append(None)  # not needed, or a vertex (late landing)
+                    continue
+                keep_both = self._to_value[t] > level - 1
+                arcs = self._pull_back(traces[t], None if keep_both else self._orbit_pos[k][1])
+                assert any(arc_contains(a, self.critical_orbit[k]) for a in arcs), \
+                    "probe fell off its own gap trace"
+                new.append(arcs)
+            traces = new
 
     def polygons_inside(self, level: int, theta: Angle) -> list[tuple[Angle, ...]]:
         """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
-        self._guard_level(level + 1)
-        if level == 0:
-            i = self._sector_index(theta)
-            srt = list(self.polygons[0][0].vertices)
-            arc = (srt[i], srt[(i + 1) % len(srt)])
-            out = []
-            for poly in self._depth1_polys():
-                if all(arc_contains(arc, v) for v in poly):
-                    out.append(poly)
-            return out
-        parents = self.polygons_inside(level - 1, double(theta))
-        both = self.same_gap(level - 1, double(theta), self.theta_v)
-        side = None if both else self._leaf_side(theta)
-        out = []
-        for pv in parents:
-            s0, s1 = [], []
-            for v in pv:
-                for u in (_half(v), _half(v) + Fraction(1, 2)):
-                    (s0 if self._leaf_side(u) == 0 else s1).append(u)
-            for grp in (s0, s1):
-                if side is None or self._leaf_side(grp[0]) == side:
-                    out.append(tuple(cyclic_sorted(grp)))
-        return out
-
-    def _depth1_polys(self) -> list[tuple[Angle, ...]]:
-        if self.depth >= 1:
-            return [p.vertices for p in self.polygons[1]]
-        fake = self._split(self.polygons[0][0], 1)
-        return [p.vertices for p in fake]
+        self.guard_level(level + 1, theta)
+        pos, r = self._orbit_levels(theta, level)
+        arc = self._sector_arc(pos[level][0])
+        depth1 = self.polygons[1] if self.depth >= 1 else self._split(self.polygons[0][0], 1)
+        polys = [poly for poly in depth1 if all(arc_contains(arc, v) for v in poly.vertices)]
+        for m in range(level - 1, -1, -1):
+            side = None if r[m + 1] >= level - m else pos[m][1]
+            polys = [child for poly in polys for child in self._split(poly, 0)
+                     if side is None or self._leaf_side(child.vertices[0]) == side]
+        return [poly.vertices for poly in polys]
 
     # ----------------------------------------------------------- equivalence
 
     def vertex_class(self, theta: Angle) -> tuple[Angle, ...] | None:
         """Landing class of an alpha-cycle preimage (None if theta is no vertex).
 
-        Computed lazily by pulling the alpha polygon back along the orbit, so
-        it is exact at any depth; classes persist once they appear.
+        The alpha polygon pulled back along the orbit of theta, so it is exact
+        at any depth; classes persist once they appear.
         """
         e = self.vertex_entry_step(theta)
         if e is None:
             return None
-        self._guard_level(e)
-        if theta in self._class_memo:
-            return self._class_memo[theta]
-        if e == 0:
-            cls = self.polygons[0][0].vertices
-        else:
-            parent = self.vertex_class(double(theta))
-            mine = self._leaf_side(theta)
-            grp = []
-            for v in parent:
-                for u in (_half(v), _half(v) + Fraction(1, 2)):
-                    if self._leaf_side(u) == mine:
-                        grp.append(u)
-            cls = tuple(cyclic_sorted(grp))
-            assert theta in cls
-        self._class_memo[theta] = cls
-        return cls
+        self.guard_level(e)
+        cls = self.polygons[0][0]
+        for m in range(e - 1, -1, -1):
+            t = double(theta, m)
+            cls = next(child for child in self._split(cls, 0) if t in child)
+        return cls.vertices
 
     def ray_pair_equiv(self, t1: Angle, t2: Angle) -> RayPairRelation:
         c1 = self.vertex_class(t1)
@@ -547,11 +639,3 @@ def bounded_geometry_report(slc: SliceData, depth: int) -> list[tuple[Fraction, 
         if len(w) < depth:
             frontier.extend([w + [1], w + [2]])
     return out
-
-
-def slice_data(lam: Lamination, max_level: int | None = None) -> SliceData:
-    return lam.slice_data(max_level)
-
-
-def ray_pair_equiv(lam: Lamination, t1: Angle, t2: Angle) -> RayPairRelation:
-    return lam.ray_pair_equiv(t1, t2)

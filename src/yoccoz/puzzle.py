@@ -2,9 +2,10 @@
 their descendants, and rise-and-drop sequence analytics.
 
 A piece is identified by its level and circle trace (boundary arcs).  All
-predicates reduce to Lamination.same_gap, so they work at any level; the
-"piece of 0" is the gap holding the critical leaf, per the design decision
-that every test point here is an angle or the leaf.
+predicates reduce to separation levels of the lamination (Lamination.same_gap
+and the leaf levels of an orbit), so they work at any level without
+recursion; the "piece of 0" is the gap holding the critical leaf, per the
+design decision that every test point here is an angle or the leaf.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _orbit_guard(lam: Lamination, theta, n: int):
     to the orbit of theta missing the alpha cycle for n doublings."""
     if theta == CRITICAL:
         return
-    if lam.orbit_hits_cycle_within(theta, n):
+    if lam.is_vertex(theta, n):
         raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n} steps")
 
 
@@ -150,54 +151,58 @@ def _image_is_critical(lam: Lamination, theta, n: int, j: int) -> bool:
     return lam.gap_is_critical(n - j, psi)
 
 
-def tau_direct(lam: Lamination, n: int, theta) -> int:
-    """Reference scan: least j with the j-fold image of P_n critical, as n - j."""
-    _orbit_guard(lam, theta, n)
-    for j in range(n + 1):
-        if _image_is_critical(lam, theta, n, j):
-            return n - j
-    return -1
-
-
 def tau(lam: Lamination, n: int, theta) -> int:
     """tau(n, z) per the unique-m definition; -1 when no image is critical."""
     return tau_sequence(lam, theta, n)[-1]
 
 
 def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int]:
-    """Incremental tau along n = start..n_max using tau(n+1) <= tau(n) + 1:
-    scan candidate levels downward from the previous value + 1."""
+    """tau along n = start..n_max in closed form from the leaf levels
+    l_j = L(2^j theta, leaf): tau(n) = n - min{j <= n : l_j + j > n}.
+
+    The least such j never decreases with n, so one pointer walks the orbit
+    once.  The level n - j it tests first is the highest it reads, and it
+    must exist in a late-landing lamination (guard_level)."""
+    if theta == CRITICAL:
+        return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
     _orbit_guard(lam, theta, n_max)
+    reach = [j + lv for j, lv in enumerate(lam.orbit_leaf_levels(theta, n_max))]
     values: list[int] = []
-    prev = None
+    j = 0
     for n in range(start, n_max + 1):
-        hi = n if prev is None else min(prev + 1, n)
-        val = -1
-        for m in range(hi, -1, -1):
-            if _image_is_critical(lam, theta, n, n - m):
-                val = m
-                break
-        values.append(val)
-        prev = val
+        if j <= n:
+            lam.guard_level(n - j)
+        while j <= n and reach[j] <= n:
+            j += 1
+        values.append(n - j if j <= n else -1)
     return values
 
 
 # ------------------------------------------------------------- annuli
 
 
+def _degenerate(outer: tuple[Arc, ...], inner: tuple[Arc, ...]) -> bool:
+    """The critical pieces share a boundary ray pair: their traces share an
+    arc endpoint."""
+    return bool({v for arc in outer for v in arc} & {v for arc in inner for v in arc})
+
+
 def annulus_degenerate(lam: Lamination, n: int) -> bool:
     """A_n(0) is degenerate iff the critical pieces at n and n+1 share a
-    boundary ray pair, i.e. their traces share an arc endpoint."""
-    outer = {v for arc in critical_piece(lam, n).boundary for v in arc}
-    inner = {v for arc in critical_piece(lam, n + 1).boundary for v in arc}
-    return bool(outer & inner)
+    boundary ray pair."""
+    return _degenerate(critical_piece(lam, n).boundary, critical_piece(lam, n + 1).boundary)
 
 
 def first_nondegenerate(lam: Lamination, budget: int | None = None) -> int:
+    """Least n with A_n(0) nondegenerate, sweeping the critical traces upward."""
     limit = budget if budget is not None else max(lam.depth - 1, 1)
+    traces = lam.critical_traces(limit + 1)
+    outer = next(traces)
     for n in range(limit + 1):
-        if not annulus_degenerate(lam, n):
+        inner = next(traces)
+        if not _degenerate(outer, inner):
             return n
+        outer = inner
     raise NeedsDeeperLaminationError(limit, f"no nondegenerate critical annulus up to {limit}")
 
 

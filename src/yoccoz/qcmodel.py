@@ -218,26 +218,6 @@ def phi_atlas(depth: int) -> PLAtlas:
     return PLAtlas(cells, domain_tag="phi")
 
 
-def cantor_function(x: Fraction) -> Fraction:
-    """The devil's staircase on exact rationals (ternary -> binary digits)."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("x must lie in [0,1]")
-    out = Fraction(0)
-    scale = Fraction(1, 2)
-    for _ in range(512):
-        if x == 0:
-            break
-        d = int(3 * x)
-        if d == 1:
-            out += scale  # inside a plateau
-            break
-        out += scale * (d // 2)
-        x = 3 * x - d
-        scale /= 2
-    return out
-
-
 # ----------------------------------------------------------- psi extension
 
 
@@ -271,53 +251,6 @@ _GAUSS = [
          0.12462897125553387, 0.09515851168249278, 0.06225352393864789, 0.027152459411754094],
     )
 ]
-
-
-def _ba_average(curve, x: float, spread: float):
-    """Symmetric Beurling-Ahlfors-style average of a side curve: the mean of
-    curve(x +- u * spread) over u in [0,1].  Odd endpoint reflection makes the
-    average exact (= the corner value) at x = 0, 1 for every spread."""
-    if spread <= 1e-15:
-        return curve(x)
-    fx = fy = 0.0
-    for u, w in _GAUSS:
-        for s in (+1.0, -1.0):
-            px, py = _reflect_pt(curve, x + s * u * spread)
-            fx += w * px
-            fy += w * py
-    return fx / 2, fy / 2
-
-
-def _reflect_pt(curve, x: float):
-    if 0 <= x <= 1:
-        return curve(x)
-    if x < 0:
-        cx, cy = curve(0.0)
-        px, py = _reflect_pt(curve, -x)
-        return 2 * cx - px, 2 * cy - py
-    cx, cy = curve(1.0)
-    px, py = _reflect_pt(curve, 2 - x)
-    return 2 * cx - px, 2 * cy - py
-
-
-def _scalar_ba_average(q, x: float, spread: float) -> float:
-    """Symmetric average of a scalar increasing map q: [0,1] -> [0,1] at the
-    given spread, with odd endpoint reflection (so the value is exactly q(0),
-    q(1) at the ends, and the average never leaves [0,1])."""
-    if spread <= 1e-15:
-        return q(min(max(x, 0.0), 1.0))
-
-    def qr(s):
-        if s < 0:
-            return -qr(-s)
-        if s > 1:
-            return 2.0 - qr(2.0 - s)
-        return q(s)
-
-    acc = 0.0
-    for u, w in _GAUSS:
-        acc += w * (qr(x + u * spread) + qr(x - u * spread))
-    return acc / 2
 
 
 def _v32_reflected(y: float) -> float:
@@ -382,10 +315,9 @@ class PsiExtension:
         if x >= 1 - b:
             u, v = _ba_pair(y, 1 - x)
             return (1.0 - v, u)
-        ul, vl = _ba_pair(y, b)
-        ur, vr = _ba_pair(y, b)
+        u, v = _ba_pair(y, b)  # both side extensions at the band's edge
         s = (x - b) / (1 - 2 * b)
-        return ((1 - s) * (-1.0 + vl) + s * (1.0 - vr), (1 - s) * ul + s * ur)
+        return ((1 - s) * (-1.0 + v) + s * (1.0 - v), (1 - s) * u + s * u)
 
     def __call__(self, x, y):
         X, Y = self._raw(float(x), float(y))
@@ -417,10 +349,6 @@ class PsiExtension:
             return math.inf
         t = a * a + bb * bb + c * c + d * d
         return (t + math.sqrt(max(t * t - 4 * det * det, 0.0))) / (2 * det)
-
-
-def psi_extension() -> PsiExtension:
-    return PsiExtension()
 
 
 def psi_dilatation_report(refine: int = 1) -> dict:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .angles import Angle, double
+from .angles import Angle
 from .errors import NotFoundWithinBudgetError, YoccozError
 from .lamination import Lamination, cycle_entry_step
 from .puzzle import (
     CRITICAL,
     PieceRef,
+    _query_angle,
     critical_piece,
     descendant_check,
     first_nondegenerate,
@@ -24,6 +25,7 @@ from .puzzle import (
     is_critical,
     piece_of,
     sub_pieces,
+    tau,
     tau_sequence,
 )
 
@@ -46,23 +48,16 @@ def classify_case(p: int, q: int, theta_v: Angle, depth: int, lam: Lamination | 
         return CaseTag("TrivialCase1", entry, f"2^{entry} theta_v lies in the alpha cycle")
     if lam is None:
         lam = build(p, q, theta_v, 1)
-    h = lam.critical_leaf[0]
-    orbit_angles = _critical_orbit_angles(lam)
-    for d in range(1, depth + 1):
-        if not any(lam.same_gap(d, psi, h) for psi in orbit_angles):
-            return CaseTag("PresumedNonRecurrent", depth, f"no return into the level-{d} critical piece")
+    d = _orbit_free_level(lam)
+    if d <= depth:
+        return CaseTag("PresumedNonRecurrent", depth, f"no return into the level-{d} critical piece")
     return CaseTag("Recurrent", depth)
 
 
-def _critical_orbit_angles(lam: Lamination) -> list[Angle]:
-    """Angles of f^j(0), j >= 1, over one full eventual cycle (exact)."""
-    out, seen = [], set()
-    psi = lam.theta_v
-    while psi not in seen:
-        seen.add(psi)
-        out.append(psi)
-        psi = double(psi)
-    return out
+def _orbit_free_level(lam: Lamination) -> int:
+    """Least N >= 1 whose critical piece misses the whole critical orbit: the
+    level-N piece holds c_k iff its leaf level exceeds N."""
+    return max(1, max(lam.critical_leaf_levels))
 
 
 @dataclass
@@ -88,21 +83,17 @@ def trivial_tiling(case: CaseTag, level: int) -> Tiling:
 
 
 def univalent_to_level(lam: Lamination, piece: PieceRef, L: int) -> bool:
-    """f^{level-L} is univalent on the piece: no critical image before level L."""
-    for j in range(max(piece.level - L, 0)):
-        if lam.gap_is_critical(piece.level - j, double(piece.probe, j)):
-            return False
-    return True
+    """f^{level-L} is univalent on the piece: no critical image before level
+    L, i.e. tau(level) <= L."""
+    return tau(lam, piece.level, piece.probe) <= L
 
 
 def case2_level(lam: Lamination, budget: int) -> int:
     """Least N whose critical piece misses the whole critical orbit (exact for
     preperiodic angles: the orbit is finite)."""
-    h = lam.critical_leaf[0]
-    orbit_angles = _critical_orbit_angles(lam)
-    for N in range(1, budget + 1):
-        if not any(lam.same_gap(N, psi, h) for psi in orbit_angles):
-            return N
+    N = _orbit_free_level(lam)
+    if N <= budget:
+        return N
     raise NotFoundWithinBudgetError(budget, "critical orbit meets every critical piece probed")
 
 
@@ -173,14 +164,9 @@ class ResidualStatus(enum.Enum):
 
 def residual_member(lam: Lamination, theta, p: int, L: int, depth: int) -> ResidualStatus:
     """R-membership to evidence depth: notR as soon as tau drops to L."""
-    from .errors import OrbitHitsAlphaError
-
     if theta != CRITICAL:
-        cur = theta
-        for j in range(depth + 1):
-            if lam.is_vertex(cur, depth - j):
-                return ResidualStatus.ORBIT_HITS_ALPHA
-            cur = double(cur)
+        if lam.is_vertex(theta, depth):
+            return ResidualStatus.ORBIT_HITS_ALPHA
         if not lam.same_gap(p, theta, lam.critical_leaf[0]):
             raise ValueError(f"{theta} is not in the level-{p} critical piece")
     taus = tau_sequence(lam, theta, depth, start=p)
@@ -246,10 +232,6 @@ class CertificateReport:
     warning: str = ""
 
 
-def _probe_of(lam: Lamination, theta) -> Angle:
-    return lam.critical_leaf[0] if theta == CRITICAL else theta
-
-
 def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> CertificateReport:
     """Check the structure the removability argument consumes: same-angle
     annuli strictly nested, cross-angle annuli disjoint (the intersection
@@ -266,9 +248,9 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
         counts[str(e.theta)] = cc
 
     for i, e1 in enumerate(cert.entries):
-        z = _probe_of(lam, e1.theta)
+        z = _query_angle(lam, e1.theta)
         for e2 in cert.entries[i + 1:]:
-            w = _probe_of(lam, e2.theta)
+            w = _query_angle(lam, e2.theta)
             if z == w:
                 continue
             for a1 in e1.annuli:
@@ -294,9 +276,9 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
         for e2 in cert.entries:
             if e1 is e2:
                 continue
-            w = _probe_of(lam, e2.theta)
+            w = _query_angle(lam, e2.theta)
             for a in e1.annuli:
-                z = _probe_of(lam, e1.theta)
+                z = _query_angle(lam, e1.theta)
                 if z == w:
                     continue
                 if lam.same_gap(a.n, z, w) and not lam.same_gap(a.n + 1, z, w):

@@ -29,6 +29,7 @@ from fixtures import (
     SATELLITE_THETA,
 )
 from test_lamination import brute_force_alpha_cycle
+from recursion_oracle import RecursionOracle
 
 
 def test_acceptance_01_alpha_cycle_oracle():
@@ -92,6 +93,7 @@ def test_acceptance_02_lamination_invariants():
 
 def test_acceptance_03_tau_oracle_and_taulike():
     lam = build(1, 2, CASE3_THETA, 8)
+    oracle = RecursionOracle(lam)
     rng = random.Random(3)
     done = violations = 0
     while done < 200:
@@ -101,7 +103,7 @@ def test_acceptance_03_tau_oracle_and_taulike():
             seq = pz.tau_sequence(lam, theta, 40)
         except pz.OrbitHitsAlphaError:
             continue
-        direct = [pz.tau_direct(lam, n, theta) for n in range(41)]
+        direct = [oracle.tau_direct(n, theta) for n in range(41)]
         assert seq == direct, theta
         violations += sum(1 for i in range(40) if seq[i + 1] > seq[i] + 1)
         done += 1

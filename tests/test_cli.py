@@ -50,6 +50,40 @@ def test_lamination_case1_exits_1(tmp_path):
     assert err["error"] == "Case1DegenerateError" and err["step"] == 1
 
 
+def test_late_landing_exits_with_case1(tmp_path):
+    """theta_v meets the alpha cycle after 9 doublings, beyond the depth-8
+    lamination: queries that would need that level say so."""
+    lam = str(tmp_path / "late.json")
+    code, _ = run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "919/1536",
+                       "--depth", "8", "--out", lam], tmp_path)
+    assert code == 0
+    for args in (["descendants", "--lam", lam], ["renorm", "--lam", lam]):
+        code, out = run_cli(args, tmp_path)
+        assert code == 1
+        assert json.loads(out) == {"error": "Case1DegenerateError", "step": 9,
+                                   "message": "theta_v hits the alpha-cycle after 9 doublings"}
+
+
+@pytest.mark.parametrize("args", [["descendants", "--level", "5000", "--budget", "2"],
+                                  ["tau", "--theta", "368/511", "--n", "5000"]])
+def test_deep_levels_at_default_recursion_limit(tmp_path, args):
+    lam = str(tmp_path / "lam9.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "8", "--out", lam], tmp_path)[0] == 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out = run_cli(args[:1] + ["--lam", lam] + args[1:], tmp_path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    rep = json.loads(out)
+    if args[0] == "tau":
+        assert len(rep["tau"]) == 5001 and rep["tau"][:10] == list(range(10))
+    else:
+        assert rep["base_level"] == 5000
+
+
 def test_missing_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["lamination", "--p", "1", "--q", "2", "--depth", "3"], tmp_path)

@@ -15,9 +15,11 @@ from yoccoz.lamination import (
     check_unlinked,
 )
 
+from recursion_oracle import RecursionOracle
 from fixtures import (
     CASE1_THETA,
     CASE1_THETA_SLOW,
+    CASE3_THETA,
     MISIUREWICZ_THETA,
     RABBIT_WAKE_THETA,
     SATELLITE_THETA,
@@ -63,10 +65,17 @@ def test_alpha_cycle_examples(p, q, expected):
 def test_alpha_cycle_matches_oracle_small():
     from math import gcd
 
-    for q in range(2, 8):
+    for q in range(2, 13):
         for p in range(1, q):
             if gcd(p, q) == 1:
                 assert alpha_cycle(p, q) == brute_force_alpha_cycle(p, q)
+
+
+def test_alpha_cycle_large_q():
+    """The closed form needs no 2^q table."""
+    cyc = alpha_cycle(1, 64)
+    assert len(cyc) == 64 and len(set(cyc)) == 64
+    assert double(cyc[0]) == cyc[1]  # rotation by 1/64 advances one position
 
 
 def test_build_depth1_polygons():
@@ -167,6 +176,92 @@ def test_lazy_queries_match_materialized():
             return sides
 
         assert lam.same_gap(level, u, w) == (side(u) == side(w))
+
+
+@pytest.mark.parametrize("pq,theta", [((1, 2), CASE3_THETA), ((1, 2), MISIUREWICZ_THETA),
+                                      ((1, 3), RABBIT_WAKE_THETA)])
+def test_separation_levels_match_recursion_oracle(pq, theta):
+    """same_gap agrees with the memoised pullback recursion on random pairs,
+    the leaf and the critical-orbit points, at levels up to 60."""
+    lam = build(*pq, theta, 6)
+    oracle = RecursionOracle(lam)
+    rng = random.Random(31)
+    special = [lam.critical_leaf[0]] + list(lam.critical_orbit)
+
+    def pick():
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        den = rng.randrange(5, 10**5) | 1
+        return normalize(rng.randrange(1, den), den)
+
+    queries = 0
+    while queries < 1000:
+        u, w, level = pick(), pick(), rng.randrange(0, 61)
+        if lam.is_vertex(u, level) or lam.is_vertex(w, level):
+            continue
+        assert lam.same_gap(level, u, w) == oracle.same_gap(level, u, w), (level, u, w)
+        queries += 1
+    for a in special:
+        for b in special:
+            for level in range(0, 61, 7):
+                assert lam.same_gap(level, a, b) == oracle.same_gap(level, a, b)
+
+
+@pytest.mark.parametrize("pq,theta", [((1, 2), CASE3_THETA), ((1, 2), MISIUREWICZ_THETA),
+                                      ((1, 3), RABBIT_WAKE_THETA)])
+def test_tau_closed_form_matches_recursion_oracle(pq, theta):
+    from yoccoz import puzzle as pz
+
+    lam = build(*pq, theta, 6)
+    oracle = RecursionOracle(lam)
+    rng = random.Random(32)
+    done = 0
+    while done < 12:
+        den = rng.randrange(5, 10**6) | 1
+        t = normalize(rng.randrange(1, den), den)
+        if lam.is_vertex(t, 60):
+            continue
+        assert pz.tau_sequence(lam, t, 60) == [oracle.tau_direct(n, t) for n in range(61)], t
+        done += 1
+    assert pz.tau_sequence(lam, pz.CRITICAL, 60) == list(range(61))
+
+
+def test_long_critical_orbit():
+    """A 4004-point critical orbit builds and answers in O(P) memory (a
+    table over its P^2 pairs would take more than 100 MB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        lam = build(1, 2, normalize(4003, 8009), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lam.critical_orbit) == 4004
+    assert peak < 32 * 2**20
+    oracle = RecursionOracle(lam)
+    rng = random.Random(33)
+    special = [lam.critical_leaf[0]] + list(lam.critical_orbit[:50])
+    for _ in range(200):
+        u, w, level = rng.choice(special), rng.choice(special), rng.randrange(0, 20)
+        assert lam.same_gap(level, u, w) == oracle.same_gap(level, u, w), (level, u, w)
+
+
+def test_queries_leave_the_lamination_unchanged():
+    """No memo: answering queries adds no state to the lamination."""
+    lam = build(1, 2, CASE3_THETA, 6)
+
+    def state():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(lam).items()}
+
+    before = state()
+    h = lam.critical_leaf[0]
+    for level in (3, 12, 30):
+        lam.same_gap(10 * level, normalize(368, 511), h)
+        lam.trace(level, h)
+        lam.polygons_inside(level, h)
+    lam.vertex_class(normalize(1, 3 * (1 << 9)))
+    assert state() == before
 
 
 def test_ray_pair_equiv():

@@ -141,7 +141,7 @@ def test_phi_outside_domain():
 
 
 def test_phi_against_psi_boundary():
-    psi = qc.psi_extension()
+    psi = qc.PsiExtension()
     # psi equals phi's boundary values on all four sides of S
     for k in range(1, 9):
         y = 0.5 * 3.0**-k
@@ -156,7 +156,7 @@ def test_phi_against_psi_boundary():
 
 
 def test_psi_homeomorphism_sampling():
-    psi = qc.psi_extension()
+    psi = qc.PsiExtension()
     n = 48
     grid = [[psi(i / n, j / n - 0.5) for i in range(n + 1)] for j in range(n + 1)]
     for j in range(n):
