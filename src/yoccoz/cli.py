@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
+from dataclasses import astuple
 from fractions import Fraction
 
 from . import __version__
@@ -224,7 +226,7 @@ def cmd_renorm(args, cfg):
 
 
 def cmd_tune(args, cfg):
-    from .renorm import BinaryExpansion, angle_to_expansion, tune
+    from .renorm import angle_to_expansion, tune
 
     theta = _angle(args.theta)
     exp = tune(args.a0, args.a1, angle_to_expansion(theta))
@@ -239,24 +241,40 @@ def _trace_cfg(cfg: Config):
                        newton_cap=cfg.newton_cap)
 
 
+def _write_json_atomic(path: str, obj) -> None:
+    """Write through a temp file in the same directory and os.replace it into
+    place, so no reader ever sees a partly written cache file."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh, sort_keys=True, default=_json_default)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_trace(args, cfg):
+    """The cache holds the ray, keyed on everything that shapes it; the report
+    around it is rebuilt from the current run's config on every hit."""
     from .geometry import trace_ray
 
-    key = f"{args.c}|{args.theta}|{cfg.start_radius}|{cfg.steps_per_halving}|{cfg.pot_lo}"
+    tcfg = _trace_cfg(cfg)
+    key = "|".join(str(v) for v in (args.c, args.theta, *astuple(tcfg), cfg.pot_lo))
     cache_dir = cfg.resolved_cache_dir()
     cache_file = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
     if os.path.exists(cache_file):
         with open(cache_file) as fh:
-            _emit(json.load(fh), args.out)
-            return
-    ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=_trace_cfg(cfg))
-    rep = _report(cfg, c=args.c, theta=args.theta,
-                  points=[[z.real, z.imag, t] for z, t in ray.points],
-                  residuals=ray.residuals)
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(cache_file, "w") as fh:
-        json.dump(rep, fh, sort_keys=True, default=_json_default)
-    _emit(rep, args.out)
+            payload = json.load(fh)
+    else:
+        ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=tcfg)
+        payload = {"c": args.c, "theta": args.theta,
+                   "points": [[z.real, z.imag, t] for z, t in ray.points],
+                   "residuals": ray.residuals}
+        _write_json_atomic(cache_file, payload)
+    _emit(_report(cfg, **payload), args.out)
 
 
 def cmd_render(args, cfg):

@@ -67,9 +67,5 @@ class NotFiniteEnergyError(YoccozError):
     pass
 
 
-class RelaxationFailedError(YoccozError):
-    pass
-
-
 class ModelViolationError(YoccozError):
     """A structural check of a constructed map failed (implementation bug, not math)."""

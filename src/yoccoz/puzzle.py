@@ -66,12 +66,6 @@ def map_forward(lam: Lamination, piece: PieceRef) -> PieceRef:
     return piece_of(lam, piece.level - 1, double(piece.probe))
 
 
-def contains_angle(lam: Lamination, piece: PieceRef, theta: Angle) -> bool:
-    if lam.is_vertex(theta, piece.level):
-        return False
-    return lam.same_gap(piece.level, theta, piece.probe)
-
-
 def is_critical(lam: Lamination, piece: PieceRef) -> bool:
     return lam.gap_is_critical(piece.level, piece.probe)
 

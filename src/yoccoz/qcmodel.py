@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelViolationError, OutsideDomainError
-from .plgeom import AffineMap, Cell, PLAtlas, conjugate_cell, make_cell, similarity, vec
+from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity
 
 HALF = Fraction(1, 2)
 THREE_FIFTHS = Fraction(3, 5)
@@ -491,7 +491,7 @@ def strip_model(depth: int) -> StripModel:
 def _q_knots(slc, depth: int, coord: int):
     """PL knots of q1 (coord 0) or q2 (coord 1): the Cantor-set values of the
     slice contractions, word for word, joined linearly across the gaps."""
-    from .lamination import cantor_coordinates, _corner_pairs, _l1, _l2
+    from .lamination import _l1, _l2
 
     knots = []
 

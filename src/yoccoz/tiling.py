@@ -9,7 +9,7 @@ never claims a literal limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .angles import Angle
 from .errors import NotFoundWithinBudgetError, YoccozError
@@ -18,12 +18,10 @@ from .puzzle import (
     CRITICAL,
     PieceRef,
     _query_angle,
-    critical_piece,
     descendant_check,
     first_nondegenerate,
     fraternal_descendants,
     is_critical,
-    piece_of,
     sub_pieces,
     tau,
     tau_sequence,

@@ -150,6 +150,43 @@ def test_trace_cache_and_determinism(tmp_path, monkeypatch):
     assert (tmp_path / "cache").exists()
 
 
+def test_trace_cache_keys_on_trace_config(tmp_path, monkeypatch):
+    """A run with newton_cap=1 fails the same way whether or not the cache
+    holds the default-config ray."""
+    cfgfile = tmp_path / "cap1.cfg"
+    cfgfile.write_text("newton_cap = 1\n")
+    args = ["--config", str(cfgfile), "--seed", "7", "trace", "--c=-1,0", "--theta", "1/3"]
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run_cli(args, tmp_path)
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "warm"))
+    assert run_cli(["trace", "--c=-1,0", "--theta", "1/3"], tmp_path)[0] == 0
+    warm = run_cli(args, tmp_path)
+    assert cold == warm
+    assert cold[0] == 1 and json.loads(cold[1])["error"] == "TraceFailedError"
+
+
+def test_trace_cache_hit_echoes_current_config(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(cache))
+    ray = ["trace", "--c=-1,0", "--theta", "1/3"]
+    assert run_cli(ray, tmp_path)[0] == 0
+    files = sorted(p.name for p in cache.iterdir())
+    code, out = run_cli(["--seed", "7"] + ray, tmp_path)
+    assert code == 0 and json.loads(out)["config"]["seed"] == 7
+    assert sorted(p.name for p in cache.iterdir()) == files  # a hit, no temp file left
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "fresh"))
+    assert run_cli(["--seed", "7"] + ray, tmp_path) == (0, out)
+
+
+def test_degenerate_strip_grid_exits_1(tmp_path):
+    cfgfile = tmp_path / "grid.cfg"
+    for line in ("grid_ny = 1", "grid_ny = 2", "strip_window = 0.01"):
+        cfgfile.write_text(line + "\n")
+        code, out = run_cli(["--config", str(cfgfile), "sobolev", "verify", "--trials", "1"],
+                            tmp_path)
+        assert code == 1 and json.loads(out)["error"] == "YoccozError"
+
+
 def test_qc_and_sobolev_commands(tmp_path):
     code, out = run_cli(["qc", "phi", "--depth", "3"], tmp_path)
     assert code == 0 and json.loads(out)["cells"] == 270

@@ -1,0 +1,112 @@
+"""The CLI contract on fuzzed argument lists: every run exits 0, 1 or 2, and
+every exit 1 prints a JSON object with an ``error`` key.
+
+Sizes stay small so the whole property runs in seconds: depth <= 6,
+level <= 40, q <= 16, trials <= 2, grid <= 16.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yoccoz.cli import main
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory with a case-3 lamination file and a private trace cache;
+    runs happen inside it, so default output files land there."""
+    root = tmp_path_factory.mktemp("contract")
+    old_cwd, old_cache = os.getcwd(), os.environ.get("YOCCOZ_CACHE_DIR")
+    os.chdir(root)
+    os.environ["YOCCOZ_CACHE_DIR"] = str(root / "cache")
+    try:
+        assert main(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                     "--depth", "6", "--out", "lam.json"]) == 0
+        yield root
+    finally:
+        os.chdir(old_cwd)
+        if old_cache is None:
+            del os.environ["YOCCOZ_CACHE_DIR"]
+        else:
+            os.environ["YOCCOZ_CACHE_DIR"] = old_cache
+
+
+def num(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+junk = st.sampled_from(["", "x", "1/", "/3", "-", "1e3", "nan", "--", "1,2,3"])
+angle = st.one_of(st.builds("{}/{}".format, st.integers(-3, 40), st.integers(-2, 40)),
+                  num(-2, 3), junk)
+point = st.one_of(st.sampled_from(["-1,0", "0,0", "0.282,0.53", "-0.123,0.745", "2,0",
+                                   "0,1", "nan,0", "inf,0", "1e300,0"]), junk)
+word = st.one_of(st.text(alphabet="01", min_size=1, max_size=4), junk)
+LAM = ["--lam", "lam.json"]
+
+
+def req(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def opt(flag, values):
+    """An optional flag: absent, or present with one of the values."""
+    return st.one_of(st.just([]), req(flag, values))
+
+
+commands = st.one_of(
+    st.tuples(st.just(["lamination"]),
+              st.one_of(st.just(["--p", "1", "--q", "2"]),
+                        st.tuples(req("--p", num(-1, 16)), req("--q", num(-1, 16))).map(
+                            lambda t: sum(t, []))),
+              req("--theta-v", angle), req("--depth", num(-1, 6))),
+    st.tuples(st.just(["tau"]), st.just(LAM),
+              req("--theta", st.one_of(angle, st.just("CRITICAL"))), req("--n", num(-2, 40))),
+    st.tuples(st.just(["descendants"]), st.just(LAM), opt("--level", num(-2, 40)),
+              opt("--budget", num(-1, 6))),
+    st.tuples(st.just(["tile"]),
+              st.one_of(st.just(LAM),
+                        st.tuples(opt("--p", num(-1, 16)), opt("--q", num(-1, 16)),
+                                  opt("--theta-v", angle)).map(lambda t: sum(t, []))),
+              req("--level", num(-1, 40)), opt("--max-tile-level", num(-1, 40))),
+    st.tuples(st.just(["certify"]), st.just(LAM), opt("--samples", num(0, 2)),
+              opt("--depth", num(-1, 6))),
+    st.tuples(st.just(["renorm"]), st.just(LAM), opt("--budget", num(-1, 40))),
+    st.tuples(st.just(["tune"]), req("--a0", word), req("--a1", word), req("--theta", angle)),
+    st.tuples(st.just(["trace"]), req("--c", point), req("--theta", angle)),
+    # render draws a ray per vertex of every piece: the level stays at most 2
+    st.tuples(st.just(["render"]), st.just(LAM), req("--c", point), req("--level", num(-1, 2))),
+    st.tuples(st.just(["qc"]), st.sampled_from([["phi"], ["strip"], ["diamond"]]),
+              opt("--depth", num(-1, 6)), opt("--grid", num(-1, 16))),
+    st.tuples(st.just(["sobolev", "verify"]), opt("--depth", num(-1, 6)),
+              opt("--trials", num(0, 2))),
+).map(lambda parts: sum(parts, []))
+
+# usage errors: a stray token, or a required value dropped
+mangle = st.sampled_from([lambda a: a] * 4 + [lambda a: a + ["--bogus"], lambda a: a[:-1]])
+argv = st.tuples(opt("--seed", num(-1, 9)), commands, mangle).map(lambda t: t[0] + t[2](t[1]))
+
+
+def run(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=argv)
+def test_cli_exit_codes_and_error_objects(workdir, args):
+    code, out = run(args)
+    assert code in (0, 1, 2), (args, code)
+    if code == 1:
+        err = json.loads(out)
+        assert isinstance(err, dict) and "error" in err, (args, out)

@@ -7,6 +7,8 @@ from yoccoz.errors import NotFiniteEnergyError, YoccozError
 from yoccoz import qcmodel as qc
 from yoccoz import sobolev as sb
 
+from sor_oracle import sor_extension_strip
+
 
 def grid_from(fn, T, h, y_hi):
     xs = np.arange(-T, T + h / 2, h)
@@ -127,6 +129,31 @@ def test_harmonic_extension_maximum_principle():
     ext = sb.harmonic_extension_strip(f0, f1, ny=33)
     assert ext.values.max() <= max(f0.values.max(), 0) + 1e-9
     assert ext.values.min() >= min(f0.values.min(), 0) - 1e-9
+
+
+def _random_boundary_pair(seed, T=4.0, n=161):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-T, T, n)
+    v0, v1 = rng.normal(size=n), rng.normal(size=n)
+    return (sb.BoundaryFn(ts, v0, float(v0[0]), float(v0[-1])),
+            sb.BoundaryFn(ts, v1, float(v1[0]), float(v1[-1])))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_harmonic_extension_matches_sor_oracle(seed):
+    f0, f1 = _random_boundary_pair(seed)
+    ext = sb.harmonic_extension_strip(f0, f1, ny=33)
+    ref = sor_extension_strip(f0, f1, ny=33)
+    assert ext.h == ref.h and ext.origin == ref.origin and ext.values.shape == ref.values.shape
+    assert np.abs(ext.values - ref.values).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_harmonic_extension_is_discrete_harmonic(seed):
+    f0, f1 = _random_boundary_pair(seed)
+    u = sb.harmonic_extension_strip(f0, f1, ny=33).values
+    lap = u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:] - 4 * u[1:-1, 1:-1]
+    assert np.abs(lap).max() <= 1e-12
 
 
 def test_verify_slitbounds():
