@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """One-shot report over the quasiconformal model maps: block dilatation, the
-phi atlas across depths, the diamond shear bound, the strip slit band, the
+lazy phi model across depths, the diamond shear bound, the strip slit band, the
 square-extension dilatation, and a short slit-energy verification run.
 Writes model_squares.svg next to the JSON-ish console output.
 
@@ -27,9 +27,9 @@ def main():
 
     out = {}
     out["block_dilatation"] = qc.BLOCK_DILATATION
-    a_lo, a_hi = qc.phi_atlas(3), qc.phi_atlas(args.depth + 3)
+    a_lo, a_hi = qc.PhiModel(3), qc.PhiModel(args.depth + 3)
     out["phi"] = {
-        "cells": [len(a_lo), len(a_hi)],
+        "cells": [a_lo.cell_count, a_hi.cell_count],
         "max_dilatation": [a_lo.max_dilatation(), a_hi.max_dilatation()],
         "distinct_values": sorted(set(round(v, 12) for v in a_hi.dilatations())),
     }

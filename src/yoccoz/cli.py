@@ -256,6 +256,23 @@ def _write_json_atomic(path: str, obj) -> None:
         raise
 
 
+_RAY_KEYS = {"c", "theta", "points", "residuals"}
+
+
+def _read_cached_ray(path: str) -> dict | None:
+    """The cached ray, or None on a miss: no file, or one that is not JSON or
+    not a ray (the ray is then traced again and written over it)."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if (isinstance(payload, dict) and payload.keys() == _RAY_KEYS
+            and isinstance(payload["points"], list) and isinstance(payload["residuals"], list)):
+        return payload
+    return None
+
+
 def cmd_trace(args, cfg):
     """The cache holds the ray, keyed on everything that shapes it; the report
     around it is rebuilt from the current run's config on every hit."""
@@ -265,10 +282,8 @@ def cmd_trace(args, cfg):
     key = "|".join(str(v) for v in (args.c, args.theta, *astuple(tcfg), cfg.pot_lo))
     cache_dir = cfg.resolved_cache_dir()
     cache_file = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
-    if os.path.exists(cache_file):
-        with open(cache_file) as fh:
-            payload = json.load(fh)
-    else:
+    payload = _read_cached_ray(cache_file)
+    if payload is None:
         ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=tcfg)
         payload = {"c": args.c, "theta": args.theta,
                    "points": [[z.real, z.imag, t] for z, t in ray.points],
@@ -293,10 +308,10 @@ def cmd_qc(args, cfg):
     from . import qcmodel as qc
 
     if args.what == "phi":
-        atlas = qc.phi_atlas(args.depth)
-        dil = sorted(set(round(d, 12) for d in atlas.dilatations()))
-        _emit(_report(cfg, depth=args.depth, cells=len(atlas),
-                      max_dilatation=atlas.max_dilatation(), distinct_dilatations=dil), args.out)
+        model = qc.PhiModel(args.depth)
+        dil = model.dilatations()
+        _emit(_report(cfg, depth=args.depth, cells=model.cell_count, max_dilatation=max(dil),
+                      distinct_dilatations=sorted(set(round(d, 12) for d in dil))), args.out)
     elif args.what == "diamond":
         n = args.grid
         worst, where = 0.0, None

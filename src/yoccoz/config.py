@@ -3,6 +3,7 @@ overrides.  Unknown keys are rejected so typos cannot silently change runs."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -27,6 +28,10 @@ class Config:
     cache_dir: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config key {f.name} must be finite, got {value}")
         for name in ("start_radius", "steps_per_halving", "newton_cap", "pot_lo", "grid_ny",
                      "strip_window", "search_budget", "renorm_budget", "max_tile_level",
                      "lamination_depth"):

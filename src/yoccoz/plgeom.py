@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 Vec = tuple[Fraction, Fraction]
@@ -45,11 +46,21 @@ class AffineMap:
         return self.a * self.d - self.b * self.c
 
     def dilatation(self) -> float:
-        """Ratio of singular values of the linear part (orientation-preserving)."""
-        det = float(self.det)
+        """Ratio of singular values of the linear part (orientation-preserving).
+
+        The entries are first scaled by a power of two that brings the largest
+        near 1.  The ratio is scale-invariant and every float operation below
+        commutes exactly with such a scaling, so the result is bit for bit the
+        unscaled one wherever that stays finite, and finite at any scale."""
+        entries = (self.a, self.b, self.c, self.d)
+        e = max((v.numerator.bit_length() - v.denominator.bit_length() for v in entries if v),
+                default=0)
+        scale = Fraction(2) ** -e
+        a, b, c, d = (v * scale for v in entries)
+        det = float(a * d - b * c)
         if det <= 0:
             return math.inf
-        t = float(self.a) ** 2 + float(self.b) ** 2 + float(self.c) ** 2 + float(self.d) ** 2
+        t = float(a) ** 2 + float(b) ** 2 + float(c) ** 2 + float(d) ** 2
         disc = max(t * t - 4 * det * det, 0.0)
         return (t + math.sqrt(disc)) / (2 * det)
 
@@ -75,12 +86,25 @@ class Cell:
     map: AffineMap
     tag: str = ""
 
-    def contains(self, p: Vec, closed=True) -> bool:
+    @cached_property
+    def _edge_lines(self) -> tuple[tuple[int, int, int], ...]:
+        """Integers (A, B, C) per directed edge (a, b): A x + B y + C is
+        cross(a, b, (x, y)) times a positive integer."""
         a, b, c = self.source
-        s1, s2, s3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-        if closed:
-            return s1 >= 0 and s2 >= 0 and s3 >= 0
-        return s1 > 0 and s2 > 0 and s3 > 0
+        lines = []
+        for (ax, ay), (bx, by) in ((a, b), (b, c), (c, a)):
+            A, B = ay - by, bx - ax
+            C = -A * ax - B * ay
+            scale = math.lcm(A.denominator, B.denominator, C.denominator)
+            lines.append((int(A * scale), int(B * scale), int(C * scale)))
+        return tuple(lines)
+
+    def contains(self, p: Vec) -> bool:
+        """p lies in the closed triangle: every edge sees it on its left,
+        tested on p's numerators over its common denominator."""
+        xn, xd, yn, yd = p[0].numerator, p[0].denominator, p[1].numerator, p[1].denominator
+        x, y, w = xn * yd, yn * xd, xd * yd
+        return all(A * x + B * y + C * w >= 0 for A, B, C in self._edge_lines)
 
 
 def make_cell(src, dst, tag="") -> Cell:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelViolationError, OutsideDomainError
-from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity
+from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity, vec
 
 HALF = Fraction(1, 2)
 THREE_FIFTHS = Fraction(3, 5)
@@ -193,29 +193,113 @@ def _cantor_left(i: int, n: int) -> Fraction:
     return x
 
 
+def _phi_block(n: int, i: int, lower: bool):
+    """The similarity pair (smap, tmap) conjugating the canonical block onto
+    block i of strip level n: smap takes [0,3]x[0,1] onto the source block
+    [x_i, x_i + 3^-n] x [3^-(n+1)/2, 3^-n/2] (mirrored to y < 0 if lower),
+    tmap takes [0,20]x[0,5] onto [2i/2^n - 1, 2(i+1)/2^n - 1] x [2^-(n+1), 2^-n]."""
+    src_scale = Fraction(1, 3 ** (n + 1))
+    tgt_scale = Fraction(1, 10 * 2**n)
+    sy = Fraction(1, 2 * 3 ** (n + 1))
+    ty = Fraction(1, 1 << (n + 1))
+    smap = similarity(src_scale, _cantor_left(i, n), -sy if lower else sy, flip_y=lower)
+    tmap = similarity(tgt_scale, Fraction(2 * i, 1 << n) - 1, -ty if lower else ty, flip_y=lower)
+    return smap, tmap
+
+
+def _check_phi_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+
+
 def phi_atlas(depth: int) -> PLAtlas:
     """phi: S - closure(N) -> S' - closure(V') assembled from similarity
     conjugates of the canonical block, one per node of the two binary trees
-    (strip levels 0..depth, upper and lower)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    (strip levels 0..depth, upper and lower).  Materializes every cell; the
+    lazy PhiModel answers the same questions from one block per level."""
+    _check_phi_depth(depth)
     base = _canonical_block_cells()
     cells: list[Cell] = []
     for n in range(depth + 1):
-        # source block: width 3^-n, height (1/2)3^-n - (1/2)3^-(n+1) = 3^-(n+1)
-        src_scale = Fraction(1, 3 ** (n + 1))
-        tgt_scale = Fraction(1, 10 * 2**n)  # canonical [0,20]x[0,5] -> w=2*2^-n, h=2^-(n+1)
         for i in range(1 << n):
-            sx = _cantor_left(i, n)
-            tx = Fraction(2 * i, 1 << n) - 1
             for lower in (False, True):
-                sy = Fraction(1, 2 * 3 ** (n + 1))
-                ty = Fraction(1, 1 << (n + 1))
-                smap = similarity(src_scale, sx, -sy if lower else sy, flip_y=lower)
-                tmap = similarity(tgt_scale, tx, -ty if lower else ty, flip_y=lower)
+                smap, tmap = _phi_block(n, i, lower)
                 tag = f"{'low' if lower else 'up'}/n{n}/i{i}"
                 cells.extend(conjugate_cell(c, smap, tmap, tag=f"{tag}/{c.tag}") for c in base)
     return PLAtlas(cells, domain_tag="phi")
+
+
+class PhiModel:
+    """phi to strip level ``depth`` without materializing its cells.
+
+    Every cell of phi_atlas(depth) is a conjugate tmap o A o smap^-1 of a
+    canonical block cell A by the similarity pair of its block.  A block's
+    linear parts depend only on the level n and the half, so one block per
+    (n, half) carries every dilatation; a point's level follows from |y| and
+    its block from the first n ternary digits of x.
+    """
+
+    def __init__(self, depth: int):
+        _check_phi_depth(depth)
+        self.depth = depth
+        self._base = _canonical_block_cells()
+
+    @property
+    def cell_count(self) -> int:
+        """18 (2^(depth+1) - 1): 9 cells per block, 2^n blocks per level and half."""
+        return 18 * ((1 << (self.depth + 1)) - 1)
+
+    def dilatations(self) -> list[float]:
+        """The cell dilatations of block 0 of every level and half: the same
+        floats as phi_atlas(depth).dilatations(), without the multiplicities."""
+        return [conjugate_cell(c, *_phi_block(n, 0, lower)).map.dilatation()
+                for n in range(self.depth + 1) for lower in (False, True) for c in self._base]
+
+    def max_dilatation(self) -> float:
+        return max(self.dilatations())
+
+    def _block_of(self, p):
+        """(n, i, lower) of a block whose closed source rectangle holds p, or
+        None.  On a row boundary |y| = 3^-(n+1)/2 the upper row n is taken:
+        its bottom side spans the whole block, so it holds p whenever row
+        n + 1 does."""
+        x, y = p
+        a = abs(y)
+        if a == 0 or a > HALF or not 0 <= x <= 1:
+            return None
+        n = 0
+        while 2 * a * 3 ** (n + 1) < 1:  # a < 3^-(n+1)/2: p lies in a deeper row
+            n += 1
+            if n > self.depth:
+                return None
+        scaled = x * 3**n
+        k = scaled.numerator // scaled.denominator
+        # x sits in [k, k+1] 3^-n, and also in [k-1, k] 3^-n when it is that
+        # interval's right end; at most one of the two is a Cantor interval
+        for k in ((k, k - 1) if scaled == k else (k,)):
+            if not 0 <= k < 3**n:
+                continue
+            i, digits = 0, k
+            for j in range(n):
+                digits, t = divmod(digits, 3)
+                if t == 1:  # a notch of level <= n
+                    break
+                i |= (t >> 1) << j
+            else:
+                return n, i, y < 0
+        return None
+
+    def evaluate(self, p) -> tuple[Fraction, Fraction]:
+        """phi(p) in exact rationals: the value phi_atlas(depth).evaluate(p)
+        gives, in O(depth) operations."""
+        q = vec(*p)
+        block = self._block_of(q)
+        if block is None:
+            raise OutsideDomainError(f"{p} is outside the phi atlas")
+        smap, tmap = _phi_block(*block)
+        u = ((q[0] - smap.tx) / smap.a, (q[1] - smap.ty) / smap.d)
+        cell = next(c for c in self._base if c.contains(u))
+        return tmap(cell.map(u))
 
 
 # ----------------------------------------------------------- psi extension
@@ -262,22 +346,28 @@ def _v32_reflected(y: float) -> float:
     return v32(y)
 
 
-def _ba_pair(y: float, t: float):
-    """Beurling-Ahlfors average pair of the side map v32 at height t:
-    u = mean of (f(y+st)+f(y-st))/2, v = mean of (f(y+st)-f(y-st))/2.
+def _ba_pair(f, y: float, t: float, edge, t_min: float):
+    """Beurling-Ahlfors average pair of a boundary map at height t over the
+    Gauss nodes: u = mean of (f(y+st)+f(y-st))/2, v = mean of (f(y+st)-f(y-st))/2.
 
-    Odd reflection makes u(+-1/2, t) = +-1 exactly (the integrand cancels
-    pointwise), so the extension hits the horizontal edges of S' on the nose.
+    f comes already extended by odd reflection in its interval's endpoints,
+    which makes u hit the boundary values there exactly (the integrand
+    cancels pointwise).  At t <= t_min the pair is (edge(y), 0).
     """
-    if t <= 1e-14:
-        return _v32_reflected(y), 0.0
+    if t <= t_min:
+        return edge(y), 0.0
     u = v = 0.0
     for s, w in _GAUSS:
-        fp = _v32_reflected(y + s * t)
-        fm = _v32_reflected(y - s * t)
+        fp, fm = f(y + s * t), f(y - s * t)
         u += w * (fp + fm)
         v += w * (fp - fm)
     return u / 2, v / 2
+
+
+def _v32_pair(y: float, t: float):
+    """The average pair of the side map v32; its odd reflection in +-1/2 makes
+    u(+-1/2, t) = +-1, so the extension hits the horizontal edges of S'."""
+    return _ba_pair(_v32_reflected, y, t, _v32_reflected, 1e-14)
 
 
 class PsiExtension:
@@ -310,12 +400,12 @@ class PsiExtension:
     def _raw(self, x: float, y: float):
         b = self.BAND
         if x <= b:
-            u, v = _ba_pair(y, x)
+            u, v = _v32_pair(y, x)
             return (-1.0 + v, u)
         if x >= 1 - b:
-            u, v = _ba_pair(y, 1 - x)
+            u, v = _v32_pair(y, 1 - x)
             return (1.0 - v, u)
-        u, v = _ba_pair(y, b)  # both side extensions at the band's edge
+        u, v = _v32_pair(y, b)  # both side extensions at the band's edge
         s = (x - b) / (1 - 2 * b)
         return ((1 - s) * (-1.0 + v) + s * (1.0 - v), (1 - s) * u + s * u)
 
@@ -543,26 +633,23 @@ def slice_q_maps(slc, depth: int = 5):
     return interp(x1, y1), interp(x2, y2)
 
 
-def _scalar_ba_pair(q, x: float, spread: float):
-    """Full Beurling-Ahlfors pair of a scalar increasing boundary map: the
-    symmetric average u and the conjugate half-difference v (v >= 0 measures
-    the local stretch and vanishes on the boundary line)."""
-    if spread <= 1e-15:
-        return q(min(max(x, 0.0), 1.0)), 0.0
+def _unit_pair(q):
+    """The full average pair (x, spread) -> (u, v) of a scalar increasing map
+    q of [0,1] with q(0) = 0 and q(1) = 1: the symmetric average u and the
+    conjugate half-difference v (v >= 0 measures the local stretch and
+    vanishes on the boundary line)."""
 
-    def qr(s):
+    def reflected(s):
         if s < 0:
-            return -qr(-s)
+            return -reflected(-s)
         if s > 1:
-            return 2.0 - qr(2.0 - s)
+            return 2.0 - reflected(2.0 - s)
         return q(s)
 
-    u = v = 0.0
-    for s, w in _GAUSS:
-        fp, fm = qr(x + s * spread), qr(x - s * spread)
-        u += w * (fp + fm)
-        v += w * (fp - fm)
-    return u / 2, v / 2
+    def edge(s):
+        return q(min(max(s, 0.0), 1.0))
+
+    return lambda x, spread: _ba_pair(reflected, x, spread, edge, 1e-15)
 
 
 def _lemma_square_extension(q):
@@ -575,22 +662,19 @@ def _lemma_square_extension(q):
     distance vanishes.  The boundary values are hit exactly via the odd
     endpoint reflection in the averages.
     """
-    top = lambda s: 1.0 - q(1.0 - s)
-
-    def from_bottom(x, y):
-        u, v = _scalar_ba_pair(q, x, y)
-        return (u, v)
+    pair = _unit_pair(q)
+    top_pair = _unit_pair(lambda s: 1.0 - q(1.0 - s))
 
     def from_top(x, y):
-        u, v = _scalar_ba_pair(top, x, 1 - y)
+        u, v = top_pair(x, 1 - y)
         return (u, 1.0 - v)
 
     def from_left(x, y):
-        u, v = _scalar_ba_pair(q, y, x)
+        u, v = pair(y, x)
         return (v, u)
 
     def from_right(x, y):
-        u, v = _scalar_ba_pair(top, y, 1 - x)
+        u, v = top_pair(y, 1 - x)
         return (1.0 - v, u)
 
     def Q(x, y):
@@ -601,7 +685,7 @@ def _lemma_square_extension(q):
         wb, wt = 1.0 / (dy0 + eps), 1.0 / (dy1 + eps)
         wl, wr = 1.0 / (dx0 + eps), 1.0 / (dx1 + eps)
         tot = wb + wt + wl + wr
-        qb, qt = from_bottom(x, y), from_top(x, y)
+        qb, qt = pair(x, y), from_top(x, y)
         ql, qr_ = from_left(x, y), from_right(x, y)
         u = (wb * qb[0] + wt * qt[0] + wl * ql[0] + wr * qr_[0]) / tot
         v = (wb * qb[1] + wt * qt[1] + wl * ql[1] + wr * qr_[1]) / tot

@@ -316,7 +316,7 @@ def test_acceptance_09_pl_self_similarity():
         assert all(c.map(p) == base for c in owners[1:])  # exact rationals
         checked += 1
 
-    deep = qc.phi_atlas(12)
+    deep = qc.PhiModel(12)
     x = Fraction(1, 4)
     X, _ = deep.evaluate((x, Fraction(2, 3**12)))
     assert abs((X + 1) / 2 - Fraction(1, 3)) < Fraction(1, 1000)

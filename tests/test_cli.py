@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from yoccoz.cli import main
+from yoccoz.config import Config
 
 
 def run_cli(args, tmp_path):
@@ -178,6 +180,25 @@ def test_trace_cache_hit_echoes_current_config(tmp_path, monkeypatch):
     assert run_cli(["--seed", "7"] + ray, tmp_path) == (0, out)
 
 
+def test_trace_cache_recovers_from_a_corrupt_file(tmp_path, monkeypatch):
+    """A truncated or ill-shaped cache file is a miss: the ray is traced again
+    and a valid file written over it."""
+    ray = ["trace", "--c=-1,0", "--theta", "1/3"]
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run_cli(ray, tmp_path)
+    assert cold[0] == 0
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(cache))
+    assert run_cli(ray, tmp_path) == cold
+    (path,) = cache.iterdir()
+    good = path.read_text()
+    for bad in (good[:100], json.dumps({"c": "-1,0", "theta": "1/3"}), "[]", ""):
+        path.write_text(bad)
+        assert run_cli(ray, tmp_path) == cold
+        assert [p.name for p in cache.iterdir()] == [path.name]
+        assert json.loads(path.read_text()) == json.loads(good)
+
+
 def test_degenerate_strip_grid_exits_1(tmp_path):
     cfgfile = tmp_path / "grid.cfg"
     for line in ("grid_ny = 1", "grid_ny = 2", "strip_window = 0.01"):
@@ -203,6 +224,26 @@ def test_qc_and_sobolev_commands(tmp_path):
     code, out = run_cli(["sobolev", "verify", "--depth", "2", "--trials", "2"], tmp_path)
     rep = json.loads(out)
     assert code == 0 and rep["violations"] == 0
+
+
+def test_qc_phi_deep_depth_from_one_block_per_level(tmp_path):
+    """At depth 64 the atlas would hold about 6.6e20 cells; the report counts
+    them in closed form and takes dilatations from one block per level.  The
+    largest float differs from depth 3's in its last digit (the level-14
+    block rounds up), as it would in the atlas, hence the 1e-12 tolerance."""
+    import time
+
+    shallow = json.loads(run_cli(["qc", "phi", "--depth", "3"], tmp_path)[1])
+    t0 = time.perf_counter()
+    code, out = run_cli(["qc", "phi", "--depth", "64"], tmp_path)
+    assert code == 0 and time.perf_counter() - t0 < 2.0
+    deep = json.loads(out)
+    assert deep["cells"] == 18 * (2**65 - 1)
+    assert deep["distinct_dilatations"] == shallow["distinct_dilatations"]
+    assert abs(deep["max_dilatation"] - shallow["max_dilatation"]) < 1e-12
+
+    code, out = run_cli(["qc", "phi", "--depth", "0"], tmp_path)
+    assert code == 1 and json.loads(out)["error"] == "ValueError"
 
 
 def test_certify_command(tmp_path):
@@ -242,6 +283,20 @@ def test_config_file_and_unknown_key(tmp_path):
                          "--theta", "1/3"], tmp_path)
     assert code == 1
     assert "unknown config key" in json.loads(out)["message"]
+
+
+FLOAT_KEYS = [f.name for f in fields(Config) if isinstance(getattr(Config(), f.name), float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_floats(tmp_path, key, value):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    code, out = run_cli(["--config", str(cfgfile), "tune", "--a0", "0", "--a1", "1",
+                         "--theta", "1/3"], tmp_path)
+    err = json.loads(out)
+    assert code == 1 and err["error"] == "ValueError" and key in err["message"]
 
 
 def test_console_script_installed():

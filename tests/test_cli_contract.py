@@ -1,20 +1,24 @@
-"""The CLI contract on fuzzed argument lists: every run exits 0, 1 or 2, and
-every exit 1 prints a JSON object with an ``error`` key.
+"""The CLI contract on fuzzed argument lists and fuzzed config files: every
+run exits 0, 1 or 2, and every exit 1 prints a JSON object with an ``error``
+key.
 
 Sizes stay small so the whole property runs in seconds: depth <= 6,
-level <= 40, q <= 16, trials <= 2, grid <= 16.
+level <= 40, q <= 16, trials <= 2, grid <= 16, and config values are ints
+below 10, specials or junk.
 """
 
 import contextlib
 import io
 import json
 import os
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yoccoz.cli import main
+from yoccoz.config import Config
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +106,45 @@ def run(args):
     return code, buf.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
-@given(args=argv)
-def test_cli_exit_codes_and_error_objects(workdir, args):
+def check_contract(args):
     code, out = run(args)
     assert code in (0, 1, 2), (args, code)
     if code == 1:
         err = json.loads(out)
         assert isinstance(err, dict) and "error" in err, (args, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=argv)
+def test_cli_exit_codes_and_error_objects(workdir, args):
+    check_contract(args)
+
+
+# config files: a few Config keys set to small valid ints, at most one key set
+# to zero, a negative, a non-finite float or junk, and now and then a comment
+# or a malformed line; every cheap command runs under each file
+CONFIG_KEYS = [f.name for f in fields(Config)]
+odd_value = st.one_of(num(-2, 0), st.sampled_from(["nan", "inf", "-inf"]),
+                      st.sampled_from(["1.5", "", "x", "1/2", "--", "0x10"]))
+config_text = st.tuples(
+    st.dictionaries(st.sampled_from(CONFIG_KEYS), num(1, 9), max_size=3),
+    st.one_of(st.just({}), st.tuples(st.sampled_from(CONFIG_KEYS), odd_value).map(
+        lambda kv: dict([kv]))),
+    st.one_of(st.just([]), st.just(["# comment"]),
+              st.sampled_from(["no equals sign", "bogus_key = 1", "= 3"]).map(lambda x: [x])),
+).map(lambda t: "\n".join([f"{k} = {v}" for k, v in {**t[0], **t[1]}.items()] + t[2]) + "\n")
+CHEAP_COMMANDS = [
+    ["trace", "--c=-0.123,0.745", "--theta", "1/7"],
+    ["sobolev", "verify", "--trials", "1", "--depth", "3"],
+    ["qc", "strip"],
+    ["tau", *LAM, "--theta", "CRITICAL", "--n", "12"],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_text)
+def test_cli_contract_on_fuzzed_config_files(workdir, text):
+    with open("fuzz.cfg", "w") as fh:
+        fh.write(text)
+    for args in CHEAP_COMMANDS:
+        check_contract(["--config", "fuzz.cfg", *args])

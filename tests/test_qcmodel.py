@@ -7,6 +7,7 @@ import pytest
 from yoccoz.angles import normalize
 from yoccoz.errors import OutsideDomainError
 from yoccoz.lamination import build
+from yoccoz.plgeom import AffineMap
 from yoccoz import qcmodel as qc
 
 from fixtures import MISIUREWICZ_THETA
@@ -83,6 +84,18 @@ def test_block_dilatation_similarity_invariant():
         assert max(abs(a - b) for a, b in zip(base, vals)) < 1e-12
 
 
+def test_dilatation_is_scale_free():
+    """A power-of-two scaling of the linear part leaves each block cell's
+    dilatation float unchanged, also where the entries leave the float range
+    (the linear parts of phi's deep levels do)."""
+    for cell in qc.block_map(3, 1, 1, 2, 20, 5, 10, 1).cells:
+        m = cell.map
+        for k in (-3000, -40, 40, 3000):
+            s = Fraction(2) ** k
+            scaled = AffineMap(m.a * s, m.b * s, m.c * s, m.d * s, m.tx, m.ty)
+            assert scaled.dilatation() == m.dilatation()
+
+
 def test_block_invalid_geometry():
     with pytest.raises(ValueError):
         qc.block_map(3, 1, 0, 2, 20, 5, 10, 1)  # marked interval hits the corner
@@ -126,12 +139,56 @@ def test_phi_continuity_across_shared_edges():
 
 
 def test_phi_boundary_cantor_limit():
-    atlas = qc.phi_atlas(12)
+    atlas = qc.PhiModel(12)
     x = Fraction(1, 4)  # ternary .020202...
     for n in (6, 10, 11):
         y = Fraction(2, 3 ** (n + 1))
         X, _ = atlas.evaluate((x, y))
         assert abs((X + 1) / 2 - Fraction(1, 3)) < Fraction(1, 1000)
+
+
+def test_phi_model_dilatations_match_atlas():
+    for d in range(1, 8):
+        atlas, model = qc.phi_atlas(d), qc.PhiModel(d)
+        assert model.cell_count == len(atlas) == 18 * (2 ** (d + 1) - 1)
+        assert set(model.dilatations()) == set(atlas.dilatations())  # exact floats
+        assert model.max_dilatation() == atlas.max_dilatation()
+
+
+def _outcome(evaluate, p):
+    try:
+        return evaluate(p)
+    except OutsideDomainError:
+        return "outside"
+
+
+def test_phi_model_evaluate_matches_atlas():
+    """Every cell vertex, points on every cell edge, notch interiors, points
+    beyond the deepest row and outside S, at depths 1..5: the model gives the
+    atlas's exact value or raises where the atlas raises."""
+    rng = random.Random(4)
+    total = outside = 0
+    for d in range(1, 6):
+        atlas, model = qc.phi_atlas(d), qc.PhiModel(d)
+        pts = set()
+        for cell in atlas.cells:
+            for k in range(3):
+                a, b = cell.source[k], cell.source[(k + 1) % 3]
+                pts.add(a)
+                t = Fraction(rng.randrange(1, 16), 16)
+                pts.add((a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t))
+        for sq in qc.build_notched(d).all_squares():  # inside a notch, and on its rim
+            pts.add((sq.x0 + sq.side / 2, sq.y0 + sq.side * Fraction(rng.randrange(1, 8), 8)))
+            pts.add((sq.x0 + sq.side * Fraction(rng.randrange(0, 9), 8), sq.y1))
+        for _ in range(80):
+            pts.add((Fraction(rng.randrange(-9, 3 ** (d + 2) + 9), 3 ** (d + 1)),
+                     Fraction(rng.randrange(-3 ** (d + 2) - 9, 3 ** (d + 2) + 9), 2 * 3 ** (d + 2))))
+        for p in sorted(pts):
+            expect = _outcome(atlas.evaluate, p)
+            assert _outcome(model.evaluate, p) == expect, (d, p)
+            outside += expect == "outside"
+        total += len(pts)
+    assert total >= 2000 and outside >= 200
 
 
 def test_phi_outside_domain():
@@ -174,6 +231,58 @@ def test_psi_dilatation_stable():
     r2 = qc.psi_dilatation_report(3)
     assert r1["max_dilatation"] < math.inf
     assert abs(r2["max_dilatation"] - r1["max_dilatation"]) / r1["max_dilatation"] < 0.05
+
+
+def _old_ba_pair(y, t):
+    """The side-map average pair as it was before the averages were folded."""
+    if t <= 1e-14:
+        return qc._v32_reflected(y), 0.0
+    u = v = 0.0
+    for s, w in qc._GAUSS:
+        fp = qc._v32_reflected(y + s * t)
+        fm = qc._v32_reflected(y - s * t)
+        u += w * (fp + fm)
+        v += w * (fp - fm)
+    return u / 2, v / 2
+
+
+def _old_scalar_ba_pair(q, x, spread):
+    """The scalar average pair as it was before the averages were folded."""
+    if spread <= 1e-15:
+        return q(min(max(x, 0.0), 1.0)), 0.0
+
+    def qr(s):
+        if s < 0:
+            return -qr(-s)
+        if s > 1:
+            return 2.0 - qr(2.0 - s)
+        return q(s)
+
+    u = v = 0.0
+    for s, w in qc._GAUSS:
+        fp, fm = qr(x + s * spread), qr(x - s * spread)
+        u += w * (fp + fm)
+        v += w * (fp - fm)
+    return u / 2, v / 2
+
+
+def test_folded_ba_average_is_bitwise_unchanged(monkeypatch):
+    """psi and the lemma square extension give the same floats through the
+    one folded average as through the two averages it replaced."""
+    rng = random.Random(11)
+    # 200 points: the four sides (the small-t fallback), the band edges, the interior
+    pts = [(rng.choice([0.0, 1.0, 0.25, 0.75, 1e-16, rng.random()]), rng.random())
+           for _ in range(200)]
+    q = lambda s: s * s * (3 - 2 * s) * 0.5 + 0.5 * s
+
+    def outputs():
+        psi, square = qc.PsiExtension(), qc._lemma_square_extension(q)
+        return [(psi(x, y - 0.5), square(x, y), square(y, x)) for x, y in pts]
+
+    new = outputs()
+    monkeypatch.setattr(qc, "_v32_pair", _old_ba_pair)
+    monkeypatch.setattr(qc, "_unit_pair", lambda q: lambda x, s: _old_scalar_ba_pair(q, x, s))
+    assert outputs() == new
 
 
 # ------------------------------------------------------- diamond and strip
