@@ -8,12 +8,15 @@ modulus log(R/r) / (2 pi), and the potential of z is log |phi^{-1}(z)|.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle, double
+from .angles import Angle, double, from_fraction
 from .errors import (
     InvalidRegionError,
     NotConnectedError,
@@ -92,7 +95,10 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceCo
     n = max(0, math.ceil(math.log2(logR / t))) if t < logR else 0
     r = math.exp((2**n) * t)
     ang = double(theta, n)
-    w = r * complex(math.cos(TWO_PI * float(ang.frac)), math.sin(TWO_PI * float(ang.frac)))
+    a = TWO_PI * (ang.num / ang.den)
+    w = r * complex(math.cos(a), math.sin(a))
+    tol = cfg.newton_tol * max(abs(w), 1.0)
+    w_floor = 8 * (2.0**n) * abs(w)
     z = z0
     eps = 2.3e-16
     for _ in range(cfg.newton_cap):
@@ -100,20 +106,45 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceCo
         for _ in range(n):
             der = 2 * val * der
             val = val * val + c
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
+        if not cmath.isfinite(val):
             return None, math.inf
         res = val - w
         # achievable residual floor in doubles: rounding amplified by the
         # expansion |der| along the orbit and by the 2^n squarings of w
-        floor = eps * (8 * abs(der) * max(abs(z), 1.0) + 8 * (2.0**n) * abs(w))
-        if abs(res) <= max(cfg.newton_tol * max(abs(w), 1.0), floor):
+        floor = eps * (8 * abs(der) * max(abs(z), 1.0) + w_floor)
+        if abs(res) <= max(tol, floor):
             return z, abs(res)
         if der == 0:
             return None, math.inf
         z = z - res / der
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        if not cmath.isfinite(z):
             return None, math.inf
     return None, math.inf
+
+
+def trace_rays(
+    c: complex,
+    thetas: Sequence[Angle],
+    pot_hi: float | None = None,
+    pot_lo: float | Sequence[float] = 1e-4,
+    cfg: TraceConfig = TraceConfig(),
+) -> list[RayPolyline]:
+    """Trace a fan of rays R(theta) of one c down dyadic potential levels by
+    Newton continuation, checking once that c is connected.
+
+    The fan shares pot_hi; pot_lo is one floor for every ray or a sequence
+    with one floor per ray.
+    """
+    if pot_hi is None:
+        pot_hi = math.log(cfg.start_radius)
+    floors = [pot_lo] * len(thetas) if isinstance(pot_lo, (int, float)) else pot_lo
+    for lo in floors:
+        if not (pot_hi > lo > 0):
+            raise YoccozError(f"a ray window needs pot_hi > pot_lo > 0, "
+                              f"got pot_hi = {pot_hi:g} and pot_lo = {lo:g}")
+    check_connected(c, cfg)
+    return [_continue_ray(c, theta, pot_hi, lo, cfg)
+            for theta, lo in zip(thetas, floors, strict=True)]
 
 
 def trace_ray(
@@ -121,24 +152,20 @@ def trace_ray(
     theta: Angle,
     pot_hi: float | None = None,
     pot_lo: float = 1e-4,
-    steps_per_halving: int | None = None,
     cfg: TraceConfig = TraceConfig(),
 ) -> RayPolyline:
     """Trace R(theta) down dyadic potential levels by Newton continuation."""
-    check_connected(c, cfg)
-    if pot_hi is None:
-        pot_hi = math.log(cfg.start_radius)
-    if not (pot_hi > pot_lo > 0):
-        raise ValueError("need pot_hi > pot_lo > 0")
-    steps = steps_per_halving or cfg.steps_per_halving
+    return trace_rays(c, [theta], pot_hi, pot_lo, cfg)[0]
 
+
+def _continue_ray(c, theta, pot_hi, pot_lo, cfg) -> RayPolyline:
     # always seed the continuation far out, where Boettcher ~ identity; the
     # polyline keeps only the requested potential range
     t = max(pot_hi, math.log(cfg.start_radius))
     z = cmath_exp_ray(theta, t)
     z, res = _must(_newton_target(c, theta, t, z, cfg), t)
     points, residuals = [(z, t)], [res]
-    shrink = 2.0 ** (-1.0 / steps)
+    shrink = 2.0 ** (-1.0 / cfg.steps_per_halving)
     while t > pot_lo * (1 + 1e-12):
         t_next = max(t * shrink, pot_lo)
         if t > pot_hi * (1 + 1e-12):
@@ -179,49 +206,53 @@ def _subdivide(c, theta, t_from, t_to, z, cfg, budget):
 def cmath_exp_ray(theta: Angle, t: float) -> complex:
     """Boettcher-plane seed phi ~ identity far out."""
     r = math.exp(t)
-    a = TWO_PI * float(theta.frac)
+    a = TWO_PI * (theta.num / theta.den)
     return r * complex(math.cos(a), math.sin(a))
+
+
+def ray_points(c: complex, thetas: Sequence[Angle], ts: Sequence[float],
+               cfg: TraceConfig = TraceConfig()) -> list[complex]:
+    """The points of the rays R(theta) at exact potentials t, one per ray,
+    traced from scratch as one fan."""
+    out = []
+    for ray, t in zip(trace_rays(c, thetas, pot_lo=ts, cfg=cfg), ts):
+        z, pot = ray.points[-1]
+        if abs(pot - t) > 1e-12 * t:
+            raise TraceFailedError(t, "did not land on the requested potential")
+        out.append(z)
+    return out
 
 
 def ray_point(c: complex, theta: Angle, t: float, cfg: TraceConfig = TraceConfig()) -> complex:
     """The point of R(theta) at an exact potential t (traced from scratch)."""
-    ray = trace_ray(c, theta, pot_lo=t, cfg=cfg)
-    z, pot = ray.points[-1]
-    if abs(pot - t) > 1e-12 * t:
-        raise TraceFailedError(t, "did not land on the requested potential")
-    return z
+    return ray_points(c, [theta], [t], cfg)[0]
 
 
 # ------------------------------------------------------------ piece curves
-
-
-def equipotential_arc(c, a: Angle, b: Angle, potential: float, samples: int, cfg=TraceConfig()):
-    """Points of the equipotential between angles a and b (ccw), inclusive."""
-    from fractions import Fraction
-    from .angles import from_fraction
-
-    length = (b.frac - a.frac) % 1
-    out = []
-    for i in range(samples + 1):
-        u = from_fraction((a.frac + length * Fraction(i, samples)) % 1)
-        out.append(ray_point(c, u, potential, cfg))
-    return out
 
 
 def piece_curve(c, lam, piece, potential: float, ray_lo: float = 1e-3,
                 samples_per_arc: int = 8, cfg=TraceConfig()) -> list[complex]:
     """Closed ccw polyline around a puzzle piece: equipotential arcs over the
     trace arcs joined by the bounding ray pairs (rays truncated at ray_lo and
-    closed across the landing point)."""
-    pts: list[complex] = []
+    closed across the landing point).  The arc samples are one fan and the
+    bounding rays another."""
     arcs = piece.boundary
-    for i, (a, b) in enumerate(arcs):
-        pts.extend(equipotential_arc(c, a, b, potential, samples_per_arc, cfg))
-        ray_down = trace_ray(c, b, pot_hi=potential, pot_lo=ray_lo, cfg=cfg)
-        pts.extend(z for z, _ in ray_down.points)
-        nxt = arcs[(i + 1) % len(arcs)][0]
-        ray_up = trace_ray(c, nxt, pot_hi=potential, pot_lo=ray_lo, cfg=cfg)
-        pts.extend(z for z, _ in reversed(ray_up.points))
+    angles = []
+    for a, b in arcs:  # samples_per_arc + 1 equally spaced angles from a to b (ccw)
+        length = (b.frac - a.frac) % 1
+        angles += [from_fraction((a.frac + length * Fraction(i, samples_per_arc)) % 1)
+                   for i in range(samples_per_arc + 1)]
+    arc_pts = ray_points(c, angles, [potential] * len(angles), cfg)
+    # arc i ends on b_i and the next arc starts on a_{i+1}
+    ends = [theta for i, (_, b) in enumerate(arcs) for theta in (b, arcs[(i + 1) % len(arcs)][0])]
+    rays = trace_rays(c, ends, pot_hi=potential, pot_lo=ray_lo, cfg=cfg)
+    per_arc = samples_per_arc + 1
+    pts: list[complex] = []
+    for i in range(len(arcs)):
+        pts.extend(arc_pts[i * per_arc:(i + 1) * per_arc])
+        pts.extend(z for z, _ in rays[2 * i].points)
+        pts.extend(z for z, _ in reversed(rays[2 * i + 1].points))
     pts.append(pts[0])
     return pts
 

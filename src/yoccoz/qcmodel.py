@@ -727,7 +727,8 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
     """
     from fractions import Fraction as F
 
-    from .geometry import TraceConfig, ray_point
+    from .angles import from_fraction
+    from .geometry import TraceConfig, ray_point, ray_points
 
     cfg = trace_cfg or TraceConfig()
     if mesh is None:
@@ -737,23 +738,22 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
     qn = lambda x: (q1raw(x) - A) / (B - A)
     ext = _lemma_square_extension(qn)
 
-    def embed(u, v):
+    def ray_at(u, v):
+        """The ray angle and potential of the model point (u, v)."""
         theta = F(A + (B - A) * u).limit_denominator(1 << 24)
-        from .angles import from_fraction
+        return from_fraction(theta % 1), max(v, 1e-3) * pot_scale
 
-        pot = max(v, 1e-3) * pot_scale
-        return ray_point(c, from_fraction(theta % 1), pot, cfg)
+    def embed(u, v):
+        return ray_point(c, *ray_at(u, v), cfg)
 
     nx, ny = mesh
 
     def sample(nx, ny):
+        """The mesh in the plane, each row traced as one fan of rays."""
         rows = []
         for j in range(ny + 1):
-            row = []
-            for i in range(nx + 1):
-                u, v = ext(i / nx, j / ny)
-                row.append(embed(u, v))
-            rows.append(row)
+            thetas, pots = zip(*(ray_at(*ext(i / nx, j / ny)) for i in range(nx + 1)))
+            rows.append(ray_points(c, thetas, pots, cfg))
         return rows
 
     pts = sample(nx, ny)

@@ -70,23 +70,21 @@ def render_puzzle(c, lam, level: int, potential: float | None = None,
                   highlight_annulus: int | None = None, trace_cfg=None) -> str:
     """Layered figure of the level-n puzzle: equipotential, alpha rays, piece
     fills, and optionally one critical annulus highlighted."""
-    from .geometry import TraceConfig, piece_curve, trace_ray
+    from .angles import normalize
+    from .geometry import TraceConfig, piece_curve, trace_rays
     from .puzzle import critical_piece, enumerate_pieces
 
     cfg = trace_cfg or TraceConfig()
     pot = potential if potential is not None else math.log(cfg.start_radius) * 2.0 ** (-level)
     canvas = SvgCanvas()
 
-    from .angles import normalize
-    ring = []
     n_samp = 256
-    for k in range(n_samp + 1):
-        th = normalize(k % n_samp, n_samp)
-        ring.append(trace_ray(c, th, pot_hi=pot * 1.0000001, pot_lo=pot, cfg=cfg).points[-1][0])
-    canvas.polyline(ring, layer="equipotentials", stroke="#999", width=0.8)
+    fan = trace_rays(c, [normalize(k, n_samp) for k in range(n_samp)],
+                     pot_hi=pot * 1.0000001, pot_lo=pot, cfg=cfg)
+    ring = [ray.points[-1][0] for ray in fan]
+    canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
 
-    for theta in lam.cycle:
-        ray = trace_ray(c, theta, pot_hi=pot, pot_lo=1e-3, cfg=cfg)
+    for ray in trace_rays(c, lam.cycle, pot_hi=pot, pot_lo=1e-3, cfg=cfg):
         canvas.polyline([z for z, _ in ray.points], layer="rays", stroke="#c33", width=1.0)
 
     palette = ["#88aadd55", "#aad88a55", "#d8aa8855", "#d8d08855", "#b08ad855"]

@@ -208,6 +208,31 @@ def test_degenerate_strip_grid_exits_1(tmp_path):
         assert code == 1 and json.loads(out)["error"] == "YoccozError"
 
 
+def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch, lam_json):
+    """render --level 13 puts the piece potential below the 1e-3 ray floor;
+    pot_lo = 10 lies above the log start_radius every ray starts from."""
+    import contextlib
+    import io
+
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "cache"))
+    cfgfile = tmp_path / "high.cfg"
+    cfgfile.write_text("pot_lo = 10\n")
+    cases = (
+        (["render", "--lam", lam_json, "--c=-1,0", "--level", "13",
+          "--out", str(tmp_path / "deep.svg")], "pot_hi = 0.000562155 and pot_lo = 0.001"),
+        (["--config", str(cfgfile), "trace", "--c=-1,0", "--theta", "1/3"],
+         "pot_hi = 4.60517 and pot_lo = 10"),
+    )
+    for args, potentials in cases:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(args, tmp_path)
+        assert code == 1 and err.getvalue() == ""
+        report = json.loads(out)
+        assert report["error"] == "YoccozError" and potentials in report["message"]
+    assert not (tmp_path / "deep.svg").exists()
+
+
 def test_qc_and_sobolev_commands(tmp_path):
     code, out = run_cli(["qc", "phi", "--depth", "3"], tmp_path)
     assert code == 0 and json.loads(out)["cells"] == 270
