@@ -2,7 +2,9 @@
 
 Angles are the universal coordinate for external rays; everything downstream
 (laminations, puzzle pieces, slices) is built on exact comparisons here, so
-this module is deliberately allergic to floats.
+this module is deliberately allergic to floats.  It is the one home of the
+circle order: ``Angle``'s order on representatives, ``in_arc`` for cyclic
+position, and ``arc_length``/``arc_point`` for counterclockwise-arc arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 
 
@@ -17,12 +20,14 @@ class InvalidDenominatorError(ValueError):
     pass
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Angle:
     """A point of R/Z written as a reduced fraction num/den with 0 <= num < den.
 
-    Deliberately unordered: circle points have no linear order. Sort by the
-    representative ``.frac`` explicitly where one is needed.
+    Angles are ordered by their representatives in [0, 1), compared by
+    cross-multiplication, so ``sorted`` cuts the circle at 0 and needs no key.
+    Questions about the cyclic order go through ``in_arc`` and ``arc_point``.
     """
 
     num: int
@@ -37,6 +42,11 @@ class Angle:
     @property
     def frac(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    def __lt__(self, other: "Angle") -> bool:
+        if not isinstance(other, Angle):
+            return NotImplemented
+        return self.num * other.den < other.num * self.den
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -120,14 +130,23 @@ def in_arc(theta: Angle, a: Angle, b: Angle) -> ArcPosition:
         raise ValueError("arc endpoints must be distinct")
     if theta == a or theta == b:
         return ArcPosition.BOUNDARY
-    ta, tb, tt = a.frac, b.frac, theta.frac
-    if ta < tb:
-        inside = ta < tt < tb
+    if a < b:
+        inside = a < theta < b
     else:
-        inside = tt > ta or tt < tb
+        inside = a < theta or theta < b
     return ArcPosition.INSIDE if inside else ArcPosition.OUTSIDE
 
 
-def cyclic_sorted(angles) -> list[Angle]:
-    """Angles sorted by circle position starting from the smallest representative."""
-    return sorted(angles, key=lambda t: t.frac)
+def arc_length(arc: tuple[Angle, Angle]) -> Fraction:
+    """(b - a) mod 1: the length of the counterclockwise arc (a, b)."""
+    a, b = arc
+    den = a.den * b.den
+    return Fraction((b.num * a.den - a.num * b.den) % den, den)
+
+
+def arc_point(a: Angle, b: Angle, t: Fraction) -> Angle:
+    """The angle t of the way along the counterclockwise arc from a to b,
+    (a + t * ((b - a) mod 1)) mod 1, exactly; t = 1/2 is the arc's midpoint."""
+    n = arc_length((a, b))
+    d = n.denominator * t.denominator  # a + n * t over the denominator a.den * d
+    return normalize(a.num * d + a.den * n.numerator * t.numerator, a.den * d)

@@ -138,6 +138,11 @@ def cmd_tile(args, cfg):
     from .puzzle import critical_piece
     from .tiling import classify_case, tile, trivial_tiling
 
+    def emit_trivial(case):
+        t = trivial_tiling(case, args.level)
+        _emit(_report(cfg, case=case.kind, evidence=case.evidence_depth, L=t.L,
+                      tiles=[{"level": args.level, "whole_piece": True}], residual=[]), args.out)
+
     if args.lam:
         lam = _load_lam(args.lam)
     else:
@@ -146,18 +151,10 @@ def cmd_tile(args, cfg):
         try:
             lam = build(args.p, args.q, args.theta_v, cfg.lamination_depth)
         except Case1DegenerateError:
-            case = classify_case(args.p, args.q, args.theta_v, depth=1)
-            t = trivial_tiling(case, args.level)
-            _emit(_report(cfg, case=case.kind, evidence=case.evidence_depth, L=t.L,
-                          tiles=[{"level": args.level, "whole_piece": True}], residual=[]),
-                  args.out)
-            return
+            return emit_trivial(classify_case(args.p, args.q, args.theta_v, depth=1))
     case = classify_case(lam.p, lam.q, lam.theta_v, depth=min(lam.depth, 10), lam=lam)
     if case.kind == "TrivialCase1":
-        t = trivial_tiling(case, args.level)
-        _emit(_report(cfg, case=case.kind, evidence=case.evidence_depth, L=t.L,
-                      tiles=[{"level": args.level, "whole_piece": True}], residual=[]), args.out)
-        return
+        return emit_trivial(case)
     piece = critical_piece(lam, args.level)
     t = tile(lam, piece, max_tile_level=args.max_tile_level or cfg.max_tile_level,
              case=case, search_budget=cfg.search_budget)
@@ -194,7 +191,7 @@ def cmd_certify(args, cfg):
 def _residual_samples(lam, p, L, depth, count, seed):
     import random
 
-    from .lamination import arc_length
+    from .angles import arc_point
     from .puzzle import critical_piece
     from .tiling import ResidualStatus, residual_member
 
@@ -205,9 +202,7 @@ def _residual_samples(lam, p, L, depth, count, seed):
         if len(out) >= count:
             break
         a, b = arcs[rng.randrange(len(arcs))]
-        from .angles import from_fraction
-
-        t = from_fraction((a.frac + arc_length((a, b)) * Fraction(rng.randrange(1, 1 << 16), 1 << 16)) % 1)
+        t = arc_point(a, b, Fraction(rng.randrange(1, 1 << 16), 1 << 16))
         try:
             if residual_member(lam, t, p, L, depth) is ResidualStatus.IN_R_TO_DEPTH:
                 out.append(t)

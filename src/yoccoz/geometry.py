@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle, double, from_fraction
+from .angles import Angle, arc_point, double
 from .errors import (
     InvalidRegionError,
     NotConnectedError,
@@ -240,8 +240,7 @@ def piece_curve(c, lam, piece, potential: float, ray_lo: float = 1e-3,
     arcs = piece.boundary
     angles = []
     for a, b in arcs:  # samples_per_arc + 1 equally spaced angles from a to b (ccw)
-        length = (b.frac - a.frac) % 1
-        angles += [from_fraction((a.frac + length * Fraction(i, samples_per_arc)) % 1)
+        angles += [arc_point(a, b, Fraction(i, samples_per_arc))
                    for i in range(samples_per_arc + 1)]
     arc_pts = ray_points(c, angles, [potential] * len(angles), cfg)
     # arc i ends on b_i and the next arc starts on a_{i+1}

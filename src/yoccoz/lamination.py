@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 
-from .angles import Angle, ArcPosition, cyclic_sorted, double, from_fraction, in_arc, normalize
+from .angles import Angle, ArcPosition, arc_length, double, from_fraction, in_arc, normalize
 from .errors import (
     Case1DegenerateError,
     InvalidThetaError,
@@ -90,10 +90,6 @@ def _double(num: int, den: int) -> tuple[int, int]:
 
 
 Arc = tuple[Angle, Angle]  # open ccw arc (start, end)
-
-
-def arc_length(arc: Arc) -> Fraction:
-    return (arc[1].frac - arc[0].frac) % 1
 
 
 def arc_contains(arc: Arc, theta: Angle) -> bool:
@@ -178,7 +174,7 @@ class Lamination:
             )
         self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
 
-        self.polygons: list[list[Polygon]] = [[Polygon(tuple(cyclic_sorted(cyc)), 0)]]
+        self.polygons: list[list[Polygon]] = [[Polygon(self.cycle, 0)]]
         for j in range(depth):
             self.polygons.append(
                 [child for parent in self.polygons[j] for child in self._split(parent, j + 1)]
@@ -201,9 +197,7 @@ class Lamination:
     # ------------------------------------------------------------------ build
 
     def _critical_value_sector(self) -> Arc:
-        srt = cyclic_sorted(self.cycle)
-        arcs = [(srt[i], srt[(i + 1) % len(srt)]) for i in range(len(srt))]
-        return min(arcs, key=arc_length)
+        return min(map(self._sector_arc, range(self.q)), key=arc_length)
 
     def _split(self, parent: Polygon, depth: int) -> list[Polygon]:
         """The two preimage polygons of parent, on either side of the leaf."""
@@ -213,7 +207,7 @@ class Lamination:
                 if u in self.critical_leaf:
                     raise Case1DegenerateError(depth - 1)
                 sides[self._leaf_side(u)].append(u)
-        return [Polygon(tuple(cyclic_sorted(side)), depth) for side in sides]
+        return [Polygon(tuple(sorted(side)), depth) for side in sides]
 
     def _critical_values(self) -> list:
         """L(c_a, theta_v) for every orbit point c_a, in O(P) memory.  The pair
@@ -355,8 +349,8 @@ class Lamination:
         return self._side(theta.num, theta.den)
 
     def _sector_arc(self, index: int) -> Arc:
-        srt = self.polygons[0][0].vertices
-        return srt[index], srt[(index + 1) % len(srt)]
+        cyc = self.cycle  # sorted, so consecutive angles bound a sector
+        return cyc[index], cyc[(index + 1) % len(cyc)]
 
     def same_gap(self, level: int, u: Angle, w: Angle) -> bool:
         """True iff no polygon of depth <= level separates u from w on the circle,
@@ -385,7 +379,7 @@ class Lamination:
         halves = [h for arc in arcs for h in _preimage_arcs(arc)]
         if side is not None:
             halves = [arc for arc in halves if self._leaf_side(arc[0]) == side]
-        return tuple(sorted(halves, key=lambda a: a[0].frac))
+        return tuple(sorted(halves))
 
     def trace(self, level: int, theta: Angle) -> tuple[Arc, ...]:
         """Circle trace (boundary arcs) of the level gap containing theta:
@@ -518,7 +512,7 @@ class Lamination:
                     n=n, m=m, k=k, q=self.q,
                 )
                 order = [data.A, data.B_k, data.E, data.B, data.C, data.F, data.C_k, data.D]
-                if any(order[i].frac >= order[i + 1].frac for i in range(7)):
+                if any(order[i] >= order[i + 1] for i in range(7)):
                     raise YoccozError("internal error: slice order violated")
                 return data
         raise NotFoundWithinBudgetError(64, "no contraction level k up to 64")
@@ -543,7 +537,7 @@ def check_unlinked(families) -> tuple | None:
     classes: dict[tuple, int] = {}
     owner: dict[Angle, int] = {}
     for verts in families:
-        key = tuple(sorted(verts, key=lambda a: a.frac))
+        key = tuple(sorted(verts))
         if key in classes:
             continue
         cid = classes.setdefault(key, len(classes))
@@ -552,8 +546,7 @@ def check_unlinked(families) -> tuple | None:
                 return (key, v)
             owner[v] = cid
     keys = list(classes)
-    events = sorted(((v, cid) for key, cid in classes.items() for v in key),
-                    key=lambda e: e[0].frac)
+    events = sorted((v, cid) for key, cid in classes.items() for v in key)
     remaining = {cid: len(key) for key, cid in classes.items()}
     stack: list[int] = []
     open_: set[int] = set()

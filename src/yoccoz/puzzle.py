@@ -11,8 +11,9 @@ design decision that every test point here is an angle or the leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .angles import Angle, double
+from .angles import Angle, arc_point, double
 from .errors import (
     NeedsDeeperLaminationError,
     NotFoundWithinBudgetError,
@@ -20,9 +21,10 @@ from .errors import (
     OnBoundaryError,
     OrbitHitsAlphaError,
 )
-from .lamination import Arc, Lamination
+from .lamination import Arc, Lamination, arc_contains
 
 CRITICAL = "CRITICAL"  # sentinel query point: the critical leaf
+HALF = Fraction(1, 2)  # arc_point(a, b, HALF) is the midpoint of the ccw arc (a, b)
 
 
 @dataclass(frozen=True)
@@ -76,19 +78,11 @@ def sub_pieces(lam: Lamination, piece: PieceRef) -> list[PieceRef]:
     The subdividing polygons are enumerated by pulling back the polygons
     inside the image gap, then one probe per subdivision arc is resolved.
     """
-    marks = sorted(
-        {v for poly in lam.polygons_inside(piece.level, piece.probe) for v in poly},
-        key=lambda a: a.frac,
-    )
+    marks = sorted({v for poly in lam.polygons_inside(piece.level, piece.probe) for v in poly})
     probes = []
     for a, b in piece.boundary:
-        inner = [v for v in marks if _in_open_arc(v, a, b)]
-        pts = [a] + inner + [b]
-        for i in range(len(pts) - 1):
-            lo, hi = pts[i].frac, pts[i + 1].frac
-            if hi <= lo:
-                hi += 1
-            probes.append(_mid_angle(lo, hi))
+        pts = [a] + [v for v in marks if arc_contains((a, b), v)] + [b]
+        probes += [arc_point(u, w, HALF) for u, w in zip(pts, pts[1:])]
     out: dict = {}
     for t in probes:
         sub = piece_of(lam, piece.level + 1, t)
@@ -98,28 +92,11 @@ def sub_pieces(lam: Lamination, piece: PieceRef) -> list[PieceRef]:
 
 def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
     """All pieces of one level, by recursive subdivision of the level-0 sectors."""
-    srt = list(lam.polygons[0][0].vertices)
-    pieces = []
-    for i in range(len(srt)):
-        lo, hi = srt[i].frac, srt[(i + 1) % len(srt)].frac
-        if hi <= lo:
-            hi += 1
-        pieces.append(piece_of(lam, 0, _mid_angle(lo, hi)))
+    cyc = lam.cycle
+    pieces = [piece_of(lam, 0, arc_point(a, b, HALF)) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
     for _ in range(level):
         pieces = [s for piece in pieces for s in sub_pieces(lam, piece)]
     return pieces
-
-
-def _in_open_arc(v: Angle, a: Angle, b: Angle) -> bool:
-    from .angles import ArcPosition, in_arc
-
-    return in_arc(v, a, b) is ArcPosition.INSIDE
-
-
-def _mid_angle(lo, hi) -> Angle:
-    from .angles import from_fraction
-
-    return from_fraction(((lo + hi) / 2) % 1)
 
 
 # ------------------------------------------------------------------ tau

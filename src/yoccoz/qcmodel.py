@@ -741,7 +741,7 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
     def ray_at(u, v):
         """The ray angle and potential of the model point (u, v)."""
         theta = F(A + (B - A) * u).limit_denominator(1 << 24)
-        return from_fraction(theta % 1), max(v, 1e-3) * pot_scale
+        return from_fraction(theta), max(v, 1e-3) * pot_scale
 
     def embed(u, v):
         return ray_point(c, *ray_at(u, v), cfg)

@@ -75,7 +75,9 @@ def render_puzzle(c, lam, level: int, potential: float | None = None,
     from .puzzle import critical_piece, enumerate_pieces
 
     cfg = trace_cfg or TraceConfig()
-    pot = potential if potential is not None else math.log(cfg.start_radius) * 2.0 ** (-level)
+    top = math.log(cfg.start_radius)  # where every ray window starts
+    # level n at top / 2^n; level 0 at the level-1 potential, below top
+    pot = potential if potential is not None else top * 2.0 ** -max(level, 1)
     canvas = SvgCanvas()
 
     n_samp = 256

@@ -29,21 +29,17 @@ class RenormReport:
 
 
 def _returns_forever(lam: Lamination, n: int, k: int) -> bool:
-    """f^{tn}(0) in P_{k+n}(0) for all t >= 1, checked over one full cycle of
-    the eventually periodic angle orbit."""
+    """f^{tn}(0) in P_{k+n}(0) for all t >= 1: psi_t = 2^{tn-1} theta_v is
+    eventually periodic in t, so the walk ends when a psi repeats."""
     h = lam.critical_leaf[0]
     seen = set()
-    t = 1
-    while True:
-        psi = double(lam.theta_v, t * n - 1)
-        if psi in seen and t > 1:
-            return True
-        seen.add(psi)
+    psi = double(lam.theta_v, n - 1)
+    while psi not in seen:
         if not lam.same_gap(k + n, psi, h):
             return False
-        t += 1
-        if t > 4 * len(seen) + 8:  # orbit cycle must have closed by now
-            return True
+        seen.add(psi)
+        psi = double(psi, n)
+    return True
 
 
 def detect(lam: Lamination, budget: int) -> RenormReport:
@@ -84,19 +80,19 @@ class BinaryExpansion:
         head = int(self.prefix, 2) if self.prefix else 0
         body = int(self.cycle, 2)
         val = Fraction(head, 1 << p) + Fraction(body, ((1 << c) - 1) << p)
-        return from_fraction(val % 1)
+        return from_fraction(val)
 
 
 def angle_to_expansion(theta: Angle) -> BinaryExpansion:
     """Canonical expansion by long division (dyadics get the terminating form)."""
-    seen: dict[Fraction, int] = {}
+    seen: dict[int, int] = {}
     digits: list[str] = []
-    x = theta.frac
+    x, den = theta.num, theta.den  # the remainder x/den
     while x not in seen:
         seen[x] = len(digits)
         x *= 2
-        digits.append("1" if x >= 1 else "0")
-        x %= 1
+        digits.append("1" if x >= den else "0")
+        x %= den
     start = seen[x]
     return BinaryExpansion(prefix="".join(digits[:start]), cycle="".join(digits[start:]))
 

@@ -10,6 +10,7 @@ grid spacings are engineering choices recorded in every report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -120,42 +121,45 @@ def strip_kernel(i: int, j: int):
     return lambda r: (np.exp(r / 2) + sign * np.exp(-r / 2)) ** 2
 
 
+def _pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float, n_log: int,
+                   cap: float) -> float:
+    """I_ij: the (fi, fj) boundary-pair integral under the strip kernel, with
+    |r| up to 2T."""
+    wt = np.gradient(fj.ts)
+    kern = strip_kernel(i, j)
+
+    def value(r_min):
+        rs, wr = _r_quadrature(T, n_log, r_min)
+        total = 0.0
+        for sign in (+1.0, -1.0):
+            for r, w in zip(sign * rs, wr):
+                gs = np.interp(fj.ts + r, fi.ts, fi.values,
+                               left=fi.limit_neg, right=fi.limit_pos)
+                total += w * float(((gs - fj.values) ** 2 / kern(r) * wt).sum())
+        return total
+
+    if (i + j) % 2:
+        return value(1e-4)  # bounded kernel, no singularity
+    v1, v2 = value(1e-4), value(1e-6)
+    if v2 > cap or (v2 - v1) > 0.05 * max(v1, 1e-12) + 1e-9:
+        raise NotFiniteEnergyError(f"I{i}{j} diverges under refinement")
+    return v2
+
+
 def strip_Iij(f0: BoundaryFn, f1: BoundaryFn, n_log: int = 120, cap: float = 1e5):
     """The four boundary-pair integrals; the harmonic extension's energy is
     sum(I_ij) / (2 pi)."""
     if abs(f0.limit_neg - f1.limit_neg) > 1e-9 or abs(f0.limit_pos - f1.limit_pos) > 1e-9:
         raise YoccozError("boundary components must share their limits at infinity")
-    fs = {0: f0, 1: f1}
-    T = float(f0.ts[-1])
-    out = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            fi, fj = fs[i], fs[j]
-            wt = np.gradient(fj.ts)
-            kern = strip_kernel(i, j)
-
-            def value(r_min, fi=fi, fj=fj, wt=wt, kern=kern):
-                rs, wr = _r_quadrature(T, n_log, r_min)
-                total = 0.0
-                for sign in (+1.0, -1.0):
-                    for r, w in zip(sign * rs, wr):
-                        gs = np.interp(fj.ts + r, fi.ts, fi.values,
-                                       left=fi.limit_neg, right=fi.limit_pos)
-                        total += w * float(((gs - fj.values) ** 2 / kern(r) * wt).sum())
-                return total
-
-            if (i + j) % 2 == 0:
-                v1, v2 = value(1e-4), value(1e-6)
-                if v2 > cap or (v2 - v1) > 0.05 * max(v1, 1e-12) + 1e-9:
-                    raise NotFiniteEnergyError(f"I{i}{j} diverges under refinement")
-                out[(i, j)] = v2
-            else:
-                out[(i, j)] = value(1e-4)  # bounded kernel, no singularity
-    return out[(0, 0)], out[(0, 1)], out[(1, 0)], out[(1, 1)]
+    fs, T = (f0, f1), float(f0.ts[-1])
+    return tuple(_pair_integral(fs[i], fs[j], i, j, T, n_log, cap)
+                 for i in (0, 1) for j in (0, 1))
 
 
+@functools.cache
 def kernel_constant(T: float = 80.0, n: int = 400_001) -> float:
-    """int ds / (e^{s/2} + e^{-s/2})^2, analytically tanh(s/2)/2 -> 1."""
+    """int ds / (e^{s/2} + e^{-s/2})^2, analytically tanh(s/2)/2 -> 1.  Cached:
+    every verify_slitbounds call reads it."""
     s = np.linspace(-T, T, n)
     return float(np.trapezoid(1.0 / (np.exp(s / 2) + np.exp(-s / 2)) ** 2, s))
 
@@ -326,9 +330,8 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
 
 
 def _i00_of_trace(f0: BoundaryFn) -> float:
-    b = BoundaryFn(f0.ts, f0.values, f0.limit_neg, f0.limit_pos)
-    i00, _, _, _ = strip_Iij(b, b)
-    return i00
+    """I00 of the trace alone, the same float as strip_Iij(f0, f0)[0]."""
+    return _pair_integral(f0, f0, 0, 0, float(f0.ts[-1]), n_log=120, cap=1e5)
 
 
 def _squeeze_ratio(f: np.ndarray, xs, ys, e_below: float) -> float:

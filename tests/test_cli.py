@@ -295,6 +295,21 @@ def test_render_writes_svg(tmp_path, lam_json):
     assert svg.startswith("<svg") and 'id="rays"' in svg and 'id="pieces"' in svg
 
 
+@pytest.mark.parametrize("c", ["-1,0", "0.282,0.53"])
+@pytest.mark.parametrize("q, theta_v", [(2, "2/5"), (3, "3/14")])
+def test_render_level_0_draws_the_q_sectors(tmp_path, q, theta_v, c):
+    """Level 0 is drawn at the level-1 potential, below the top of every ray
+    window: one piece per sector of the alpha polygon."""
+    lam_path, out_path = str(tmp_path / "lam.json"), str(tmp_path / "fig.svg")
+    assert run_cli(["lamination", "--p", "1", "--q", str(q), "--theta-v", theta_v,
+                    "--depth", "6", "--out", lam_path], tmp_path)[0] == 0
+    code, out = run_cli(["render", "--lam", lam_path, f"--c={c}", "--level", "0",
+                         "--out", out_path], tmp_path)
+    assert code == 0 and out == out_path + "\n"
+    pieces = open(out_path).read().split('<g id="pieces">')[1].split("</g>")[0]
+    assert pieces.count("<polygon") == q
+
+
 def test_config_file_and_unknown_key(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("renorm_budget = 12\n# comment\n")

@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no module imports a name it never uses."""
+"""Static hygiene of the package: no module imports a name it never uses,
+and every private function is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -28,3 +29,32 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_defs(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module- and class-level functions named _x (dunders excluded)."""
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [(node.name, node.lineno) for scope in scopes for node in scope.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads: bare names, attributes and imported names."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_dead_private_functions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    dead = [f"{name}:{line} {fn}" for name, tree in trees.items()
+            for fn, line in _private_defs(tree) if fn not in used]
+    assert dead == []

@@ -61,6 +61,21 @@ def test_expansion_roundtrip():
         assert rn.angle_to_expansion(theta).to_angle() == theta
 
 
+@given(st.integers(1, 5000).flatmap(lambda den: st.tuples(st.integers(0, den - 1), st.just(den))))
+def test_expansion_matches_fraction_long_division(pair):
+    """Integer remainders give the digits of the Fraction long division."""
+    theta = normalize(*pair)
+    seen, digits, x = {}, [], theta.frac
+    while x not in seen:
+        seen[x] = len(digits)
+        x *= 2
+        digits.append("1" if x >= 1 else "0")
+        x %= 1
+    start = seen[x]
+    exp = rn.angle_to_expansion(theta)
+    assert (exp.prefix, exp.cycle) == ("".join(digits[:start]), "".join(digits[start:]))
+
+
 def test_tune_identity_substitution():
     exp = rn.BinaryExpansion("", "101")
     assert rn.tune("0", "1", exp) == exp

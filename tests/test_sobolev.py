@@ -105,6 +105,11 @@ def test_strip_iij_symmetry_and_divergence_guard():
         sb.strip_Iij(f, mismatched)
 
 
+def test_i00_of_trace_is_strip_iij_i00():
+    f = sb.BoundaryFn.from_callable(lambda t: math.tanh(t / 2) + 0.3 * math.sin(t), 12, 601)
+    assert sb._i00_of_trace(f) == sb.strip_Iij(f, f)[0]
+
+
 def test_harmonic_extension_constant():
     f = sb.BoundaryFn.from_callable(lambda t: 0.7, 8, 201)
     ext = sb.harmonic_extension_strip(f, f, ny=33)
