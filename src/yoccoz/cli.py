@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import astuple
 from fractions import Fraction
 
 from . import __version__
@@ -67,19 +66,15 @@ def _report(cfg: Config, **payload) -> dict:
 
 
 def _load_lam(path: str):
+    """Rebuild a stored lamination and check that the file holds exactly what
+    `lamination` would write for it."""
     from .lamination import build
 
     with open(path) as fh:
         data = json.load(fh)
     lam = build(data["p"], data["q"], _angle(data["theta_v"]), data["depth"])
-    stored = [
-        [tuple(str(v) for v in poly) for poly in layer] for layer in data["polygons"]
-    ]
-    rebuilt = [
-        [tuple(str(v) for v in poly.vertices) for poly in layer] for layer in lam.polygons
-    ]
-    if stored != rebuilt:
-        raise YoccozError(f"{path}: stored polygons disagree with the rebuild")
+    if any(data.get(key) != value for key, value in _lam_payload(lam).items()):
+        raise YoccozError(f"{path}: stored lamination disagrees with the rebuild")
     return lam
 
 
@@ -229,13 +224,6 @@ def cmd_tune(args, cfg):
                   expansion=str(exp), angle=str(exp.to_angle())), args.out)
 
 
-def _trace_cfg(cfg: Config):
-    from .geometry import TraceConfig
-
-    return TraceConfig(start_radius=cfg.start_radius, steps_per_halving=cfg.steps_per_halving,
-                       newton_cap=cfg.newton_cap)
-
-
 def _write_json_atomic(path: str, obj) -> None:
     """Write through a temp file in the same directory and os.replace it into
     place, so no reader ever sees a partly written cache file."""
@@ -271,15 +259,16 @@ def _read_cached_ray(path: str) -> dict | None:
 def cmd_trace(args, cfg):
     """The cache holds the ray, keyed on everything that shapes it; the report
     around it is rebuilt from the current run's config on every hit."""
-    from .geometry import trace_ray
+    from .geometry import ESCAPE_ITERS, ESCAPE_RADIUS, MAX_SUBDIVIDE, NEWTON_TOL, trace_ray
 
-    tcfg = _trace_cfg(cfg)
-    key = "|".join(str(v) for v in (args.c, args.theta, *astuple(tcfg), cfg.pot_lo))
+    key = "|".join(str(v) for v in (args.c, args.theta, cfg.start_radius, cfg.steps_per_halving,
+                                    cfg.newton_cap, NEWTON_TOL, MAX_SUBDIVIDE, ESCAPE_RADIUS,
+                                    ESCAPE_ITERS, cfg.pot_lo))
     cache_dir = cfg.resolved_cache_dir()
     cache_file = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
     payload = _read_cached_ray(cache_file)
     if payload is None:
-        ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=tcfg)
+        ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=cfg)
         payload = {"c": args.c, "theta": args.theta,
                    "points": [[z.real, z.imag, t] for z, t in ray.points],
                    "residuals": ray.residuals}
@@ -291,8 +280,7 @@ def cmd_render(args, cfg):
     from .render import render_puzzle
 
     lam = _load_lam(args.lam)
-    svg = render_puzzle(_complex(args.c), lam, args.level, trace_cfg=_trace_cfg(cfg),
-                        highlight_annulus=args.annulus)
+    svg = render_puzzle(_complex(args.c), lam, args.level, highlight_annulus=args.annulus, cfg=cfg)
     out = args.out or "yoccoz.svg"
     with open(out, "w") as fh:
         fh.write(svg)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import Angle, arc_point, double
+from .config import Config
 from .errors import (
     InvalidRegionError,
     NotConnectedError,
@@ -25,17 +26,13 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class TraceConfig:
-    start_radius: float = 100.0
-    steps_per_halving: int = 4
-    newton_cap: int = 60
-    newton_tol: float = 1e-13
-    max_subdivide: int = 6
-    escape_radius: float = 1e3
-    escape_iters: int = 2000
+# fixed tracing constants; the settable ones (start_radius, steps_per_halving,
+# newton_cap) come from the run Config
+NEWTON_TOL = 1e-13  # relative Newton residual target
+MAX_SUBDIVIDE = 6  # halvings of a failed continuation step
+ESCAPE_RADIUS = 1e3  # the critical orbit of a connected c never leaves this disk
+ESCAPE_ITERS = 2000  # ... within this many iterations
+RAY_FLOOR = 1e-3  # the potential that drawn rays (piece boundaries, alpha rays) stop at
 
 
 @dataclass
@@ -76,15 +73,15 @@ def fixed_points(c: complex):
     }
 
 
-def check_connected(c: complex, cfg: TraceConfig = TraceConfig()):
+def check_connected(c: complex):
     z = 0j
-    for _ in range(cfg.escape_iters):
+    for _ in range(ESCAPE_ITERS):
         z = z * z + c
-        if abs(z) > cfg.escape_radius:
+        if abs(z) > ESCAPE_RADIUS:
             raise NotConnectedError(f"critical orbit escapes for c = {c}")
 
 
-def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceConfig):
+def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config):
     """Solve f^n(z) = exp(2^n (t + 2 pi i theta)) by Newton from z0.
 
     n is chosen so the target modulus sits in [R0, R0^2); the angle 2^n theta
@@ -97,7 +94,7 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceCo
     ang = double(theta, n)
     a = TWO_PI * (ang.num / ang.den)
     w = r * complex(math.cos(a), math.sin(a))
-    tol = cfg.newton_tol * max(abs(w), 1.0)
+    tol = NEWTON_TOL * max(abs(w), 1.0)
     w_floor = 8 * (2.0**n) * abs(w)
     z = z0
     eps = 2.3e-16
@@ -127,7 +124,7 @@ def trace_rays(
     thetas: Sequence[Angle],
     pot_hi: float | None = None,
     pot_lo: float | Sequence[float] = 1e-4,
-    cfg: TraceConfig = TraceConfig(),
+    cfg: Config = Config(),
 ) -> list[RayPolyline]:
     """Trace a fan of rays R(theta) of one c down dyadic potential levels by
     Newton continuation, checking once that c is connected.
@@ -142,7 +139,7 @@ def trace_rays(
         if not (pot_hi > lo > 0):
             raise YoccozError(f"a ray window needs pot_hi > pot_lo > 0, "
                               f"got pot_hi = {pot_hi:g} and pot_lo = {lo:g}")
-    check_connected(c, cfg)
+    check_connected(c)
     return [_continue_ray(c, theta, pot_hi, lo, cfg)
             for theta, lo in zip(thetas, floors, strict=True)]
 
@@ -152,7 +149,7 @@ def trace_ray(
     theta: Angle,
     pot_hi: float | None = None,
     pot_lo: float = 1e-4,
-    cfg: TraceConfig = TraceConfig(),
+    cfg: Config = Config(),
 ) -> RayPolyline:
     """Trace R(theta) down dyadic potential levels by Newton continuation."""
     return trace_rays(c, [theta], pot_hi, pot_lo, cfg)[0]
@@ -172,7 +169,7 @@ def _continue_ray(c, theta, pot_hi, pot_lo, cfg) -> RayPolyline:
             t_next = max(t_next, min(t, pot_hi))
         znew, res = _newton_target(c, theta, t_next, z, cfg)
         if znew is None:
-            znew, res = _subdivide(c, theta, t, t_next, z, cfg, cfg.max_subdivide)
+            znew, res = _subdivide(c, theta, t, t_next, z, cfg, MAX_SUBDIVIDE)
         z, t = znew, t_next
         points.append((z, t))
         residuals.append(res)
@@ -211,7 +208,7 @@ def cmath_exp_ray(theta: Angle, t: float) -> complex:
 
 
 def ray_points(c: complex, thetas: Sequence[Angle], ts: Sequence[float],
-               cfg: TraceConfig = TraceConfig()) -> list[complex]:
+               cfg: Config = Config()) -> list[complex]:
     """The points of the rays R(theta) at exact potentials t, one per ray,
     traced from scratch as one fan."""
     out = []
@@ -223,7 +220,7 @@ def ray_points(c: complex, thetas: Sequence[Angle], ts: Sequence[float],
     return out
 
 
-def ray_point(c: complex, theta: Angle, t: float, cfg: TraceConfig = TraceConfig()) -> complex:
+def ray_point(c: complex, theta: Angle, t: float, cfg: Config = Config()) -> complex:
     """The point of R(theta) at an exact potential t (traced from scratch)."""
     return ray_points(c, [theta], [t], cfg)[0]
 
@@ -231,10 +228,10 @@ def ray_point(c: complex, theta: Angle, t: float, cfg: TraceConfig = TraceConfig
 # ------------------------------------------------------------ piece curves
 
 
-def piece_curve(c, lam, piece, potential: float, ray_lo: float = 1e-3,
-                samples_per_arc: int = 8, cfg=TraceConfig()) -> list[complex]:
+def piece_curve(c, lam, piece, potential: float, samples_per_arc: int = 8,
+                cfg: Config = Config()) -> list[complex]:
     """Closed ccw polyline around a puzzle piece: equipotential arcs over the
-    trace arcs joined by the bounding ray pairs (rays truncated at ray_lo and
+    trace arcs joined by the bounding ray pairs (rays truncated at RAY_FLOOR and
     closed across the landing point).  The arc samples are one fan and the
     bounding rays another."""
     arcs = piece.boundary
@@ -245,7 +242,7 @@ def piece_curve(c, lam, piece, potential: float, ray_lo: float = 1e-3,
     arc_pts = ray_points(c, angles, [potential] * len(angles), cfg)
     # arc i ends on b_i and the next arc starts on a_{i+1}
     ends = [theta for i, (_, b) in enumerate(arcs) for theta in (b, arcs[(i + 1) % len(arcs)][0])]
-    rays = trace_rays(c, ends, pot_hi=potential, pot_lo=ray_lo, cfg=cfg)
+    rays = trace_rays(c, ends, pot_hi=potential, pot_lo=RAY_FLOOR, cfg=cfg)
     per_arc = samples_per_arc + 1
     pts: list[complex] = []
     for i in range(len(arcs)):
@@ -274,14 +271,15 @@ def curve_diameter(curve: list[complex]) -> float:
     return float(d.max())
 
 
-def piece_diameters(c, lam, level: int, potential: float | None = None, cfg=TraceConfig()):
-    """Max/median Euclidean diameter over all pieces of one level."""
+def piece_diameters(c, lam, level: int, cfg: Config = Config()):
+    """Max/median Euclidean diameter over all pieces of one level, drawn at
+    potential min(2, 0.4 log start_radius) / 2^level."""
     from .puzzle import enumerate_pieces
 
     pieces = enumerate_pieces(lam, level)
     if not pieces:
         raise YoccozError(f"no pieces at level {level}")
-    pot = potential if potential is not None else min(2.0, 0.4 * math.log(cfg.start_radius)) * 2.0 ** (-level)
+    pot = min(2.0, 0.4 * math.log(cfg.start_radius)) * 2.0 ** (-level)
     diams = []
     for piece in pieces:
         curve = piece_curve(c, lam, piece, pot, cfg=cfg)

@@ -465,13 +465,13 @@ class Lamination:
         den = 3 * ((1 << self.q) - 1) * (1 << level)
         return a + Fraction(1, den)
 
-    def slice_data(self, max_level: int | None = None) -> SliceData:
+    def slice_data(self) -> SliceData:
         """Locate the separating ray pair (B, C), the return time m, and the
-        contraction level k of the slice dynamics inside the sector (A, D)."""
+        contraction level k of the slice dynamics inside the sector (A, D),
+        searching the levels up to the build depth."""
         A, D = self.sector
-        limit = self.depth if max_level is None else max_level
         found = None
-        for n in range(1, limit + 1):
+        for n in range(1, self.depth + 1):
             arcs = self.trace(n, self._alpha_gap_probe(n))
             if any(
                 arc_contains(arc, self.theta_v) or self.theta_v in arc for arc in arcs
@@ -485,7 +485,7 @@ class Lamination:
             if found:
                 break
         if found is None:
-            raise NeedsDeeperLaminationError(limit)
+            raise NeedsDeeperLaminationError(self.depth)
         n, B, C = found
 
         m = None
@@ -575,9 +575,8 @@ def _l2(slc: SliceData, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     return slc.B.frac - (slc.D.frac - b) * s, slc.C.frac + (a - slc.A.frac) * s
 
 
-def cantor_ray_pair(slc: SliceData, word) -> tuple[Angle, Angle]:
-    """l_{i1} o ... o l_{ij} applied to the pair (A, D), exactly."""
-    a, b = slc.A.frac, slc.D.frac
+def apply_slice_word(slc: SliceData, word, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """l_{i1} o ... o l_{ij} applied to the pair (a, b), exactly."""
     for i in reversed(list(word)):
         if i == 1:
             a, b = _l1(slc, a, b)
@@ -585,12 +584,19 @@ def cantor_ray_pair(slc: SliceData, word) -> tuple[Angle, Angle]:
             a, b = _l2(slc, a, b)
         else:
             raise ValueError("word letters must be 1 or 2")
+    return a, b
+
+
+def cantor_ray_pair(slc: SliceData, word) -> tuple[Angle, Angle]:
+    """l_{i1} o ... o l_{ij} applied to the pair (A, D), exactly."""
+    a, b = apply_slice_word(slc, word, slc.A.frac, slc.D.frac)
     return from_fraction(a), from_fraction(b)
 
 
-def cantor_coordinates(word) -> Fraction:
-    """Middle-thirds address e_{i1} o ... o e_{ij}(0) matching cantor_ray_pair."""
-    x = Fraction(0)
+def cantor_coordinates(word, x: int | Fraction = 0) -> Fraction:
+    """Middle-thirds address e_{i1} o ... o e_{ij}(x): at x = 0 the address
+    of l_w(A, D) (cantor_ray_pair), at x = 1 that of l_w(B, C)."""
+    x = Fraction(x)
     for i in reversed(list(word)):
         if i == 1:
             x = x / 3
@@ -603,12 +609,8 @@ def cantor_coordinates(word) -> Fraction:
 
 def _corner_pairs(slc: SliceData, word) -> tuple[Fraction, Fraction]:
     """First coordinates of l_w(A,D) and l_w(B,C): the q1-interval of the word."""
-    a1, b1 = slc.A.frac, slc.D.frac
-    a2, b2 = slc.B.frac, slc.C.frac
-    for i in reversed(list(word)):
-        fn = _l1 if i == 1 else _l2
-        a1, b1 = fn(slc, a1, b1)
-        a2, b2 = fn(slc, a2, b2)
+    a1, _ = apply_slice_word(slc, word, slc.A.frac, slc.D.frac)
+    a2, _ = apply_slice_word(slc, word, slc.B.frac, slc.C.frac)
     lo, hi = sorted((a1, a2))
     return lo, hi
 

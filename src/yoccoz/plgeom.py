@@ -26,6 +26,14 @@ def cross(o: Vec, a: Vec, b: Vec) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def singular_value_ratio(t: float, det: float) -> float:
+    """The dilatation of a linear map from t = a^2 + b^2 + c^2 + d^2 and its
+    determinant: the ratio of its singular values, infinite unless det > 0."""
+    if det <= 0:
+        return math.inf
+    return (t + math.sqrt(max(t * t - 4 * det * det, 0.0))) / (2 * det)
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """z -> M z + t with M = [[a, b], [c, d]] over exact rationals."""
@@ -57,12 +65,8 @@ class AffineMap:
                 default=0)
         scale = Fraction(2) ** -e
         a, b, c, d = (v * scale for v in entries)
-        det = float(a * d - b * c)
-        if det <= 0:
-            return math.inf
         t = float(a) ** 2 + float(b) ** 2 + float(c) ** 2 + float(d) ** 2
-        disc = max(t * t - 4 * det * det, 0.0)
-        return (t + math.sqrt(disc)) / (2 * det)
+        return singular_value_ratio(t, float(a * d - b * c))
 
 
 def affine_from_triangles(src: tuple[Vec, Vec, Vec], dst: tuple[Vec, Vec, Vec]) -> AffineMap:
@@ -140,14 +144,6 @@ class PLAtlas:
         if cell is None:
             raise OutsideDomainError(f"{p} is outside the {self.domain_tag} atlas")
         return cell.map(vec(*p))
-
-    def dilatation_at(self, p) -> float:
-        from .errors import OutsideDomainError
-
-        cell = self.locate(vec(*p))
-        if cell is None:
-            raise OutsideDomainError(f"{p} is outside the {self.domain_tag} atlas")
-        return cell.map.dilatation()
 
     def max_dilatation(self) -> float:
         return max(c.map.dilatation() for c in self.cells)

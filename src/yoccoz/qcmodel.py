@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import Config
 from .errors import ModelViolationError, OutsideDomainError
-from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity, vec
+from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity, singular_value_ratio, vec
 
 HALF = Fraction(1, 2)
 THREE_FIFTHS = Fraction(3, 5)
@@ -414,13 +415,13 @@ class PsiExtension:
         lam = max(0.0, 2.0 * abs(Y) - 1.0)
         return (X + lam * (self._chi_top(X) - X), Y)
 
-    def dilatation_at(self, x, y, h: float = 1e-6) -> float | None:
-        """Pointwise dilatation by central differences; returns None on the
-        measure-zero seams (band joints, chi kink) where the difference
-        quotient would mix two smooth pieces."""
+    def dilatation_at(self, x, y) -> float | None:
+        """Pointwise dilatation by central differences of step at most 1e-6;
+        returns None on the measure-zero seams (band joints, chi kink) where
+        the difference quotient would mix two smooth pieces."""
         x, y = float(x), float(y)
         b = self.BAND
-        h = min(h, x / 2 + 1e-15, (1 - x) / 2 + 1e-15, (y + 0.5) / 2 + 1e-15, (0.5 - y) / 2 + 1e-15)
+        h = min(1e-6, x / 2 + 1e-15, (1 - x) / 2 + 1e-15, (y + 0.5) / 2 + 1e-15, (0.5 - y) / 2 + 1e-15)
         if h <= 0:
             return None
         if abs(x - b) < 2 * h or abs(x - (1 - b)) < 2 * h:
@@ -434,11 +435,7 @@ class PsiExtension:
         c = (fxp[1] - fxm[1]) / (2 * h)
         bb = (fyp[0] - fym[0]) / (2 * h)
         d = (fyp[1] - fym[1]) / (2 * h)
-        det = a * d - bb * c
-        if det <= 0:
-            return math.inf
-        t = a * a + bb * bb + c * c + d * d
-        return (t + math.sqrt(max(t * t - 4 * det * det, 0.0))) / (2 * det)
+        return singular_value_ratio(a * a + bb * bb + c * c + d * d, a * d - bb * c)
 
 
 def psi_dilatation_report(refine: int = 1) -> dict:
@@ -510,15 +507,10 @@ class DiamondToStrip:
     def shear(x, y) -> float:
         return y / (1 + x) if x <= 0 else y / (1 - x)
 
-    def dilatation_at(self, x, y) -> float:
-        s = abs(self.shear(float(x), float(y)))
-        t = 2 + s * s
-        return (t + math.sqrt(t * t - 4)) / 2
-
 
 def shear_dilatation(s: float) -> float:
-    t = 2 + s * s
-    return (t + math.sqrt(t * t - 4)) / 2
+    """Dilatation of the unit shear (x, y) -> (x, y + s x)."""
+    return singular_value_ratio(2 + s * s, 1)
 
 
 @dataclass
@@ -581,29 +573,17 @@ def strip_model(depth: int) -> StripModel:
 def _q_knots(slc, depth: int, coord: int):
     """PL knots of q1 (coord 0) or q2 (coord 1): the Cantor-set values of the
     slice contractions, word for word, joined linearly across the gaps."""
-    from .lamination import _l1, _l2
+    from .lamination import apply_slice_word, cantor_coordinates
 
     knots = []
-
-    def addr(word, x):  # e_{w}(x), evaluated outside-in
-        for i in reversed(word):
-            x = x / 3 if i == 1 else 1 - x / 3
-        return x
-
-    def pair_at(word, corner):
-        a, b = corner
-        for i in reversed(word):
-            a, b = (_l1 if i == 1 else _l2)(slc, a, b)
-        return (a, b)
-
     words = [[]]
     for _ in range(depth):
         words = [w + [i] for w in words for i in (1, 2)]
     for w in words:
-        p0 = pair_at(w, (slc.A.frac, slc.D.frac))
-        p1 = pair_at(w, (slc.B.frac, slc.C.frac))
-        knots.append((addr(w, Fraction(0)), p0[coord]))
-        knots.append((addr(w, Fraction(1)), p1[coord]))
+        p0 = apply_slice_word(slc, w, slc.A.frac, slc.D.frac)
+        p1 = apply_slice_word(slc, w, slc.B.frac, slc.C.frac)
+        knots.append((cantor_coordinates(w), p0[coord]))
+        knots.append((cantor_coordinates(w, 1), p1[coord]))
     knots.sort()
     xs = [float(k[0]) for k in knots]
     ys = [float(k[1]) for k in knots]
@@ -694,6 +674,9 @@ def _lemma_square_extension(q):
     return Q
 
 
+POT_SCALE = 0.05  # slice_embedding's model-to-potential factor
+
+
 @dataclass
 class SliceEmbeddingReport:
     """Empirical data of the sampled embedding.
@@ -716,21 +699,21 @@ class SliceEmbeddingReport:
 
 
 def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = None,
-                    pot_scale: float = 0.05, trace_cfg=None) -> SliceEmbeddingReport:
+                    cfg: Config = Config()) -> SliceEmbeddingReport:
     """Sampled embedding of the upper half of the notched-square model into
     the dynamical plane: the Cantor boundary map q1 from the slice dynamics,
     its square extension, then external-ray evaluation phi(e^{2 pi i z}).
 
     The mesh rows live at positive potential, so every off-boundary sample is
     off the Julia set by construction; the bottom row approaches the Cantor
-    set of ray-pair landing points.
+    set of ray-pair landing points.  A model point (u, v) sits at potential
+    max(v, 1e-3) * POT_SCALE.
     """
     from fractions import Fraction as F
 
     from .angles import from_fraction
-    from .geometry import TraceConfig, ray_point, ray_points
+    from .geometry import ray_point, ray_points
 
-    cfg = trace_cfg or TraceConfig()
     if mesh is None:
         mesh = (2 * 3**depth, 8)  # resolve the finest PL piece of the q map
     q1raw, _ = slice_q_maps(slc, depth)
@@ -741,7 +724,7 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
     def ray_at(u, v):
         """The ray angle and potential of the model point (u, v)."""
         theta = F(A + (B - A) * u).limit_denominator(1 << 24)
-        return from_fraction(theta), max(v, 1e-3) * pot_scale
+        return from_fraction(theta), max(v, 1e-3) * POT_SCALE
 
     def embed(u, v):
         return ray_point(c, *ray_at(u, v), cfg)
@@ -778,11 +761,8 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
                 dy = (rows[j + 1][i] - rows[j][i] + rows[j + 1][i + 1] - rows[j][i + 1]) / (2 * hy)
                 a, c = dx.real, dx.imag
                 b, d = dy.real, dy.imag
-                det = abs(a * d - b * c)
-                if det <= 0:
-                    return math.inf
                 t = a * a + b * b + c * c + d * d
-                worst = max(worst, (t + math.sqrt(max(t * t - 4 * det * det, 0.0))) / (2 * det))
+                worst = max(worst, singular_value_ratio(t, abs(a * d - b * c)))
         return worst
 
     refined = sample(2 * nx, 2 * ny)
@@ -792,8 +772,8 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
 
     monotone = all(q1raw((k + 1) / 200) >= q1raw(k / 200) - 1e-15 for k in range(200))
     corners = [
-        abs(embed(*ext(0.0, 0.0)[0:2]) - ray_point(c, slc.A, 1e-3 * pot_scale, cfg)),
-        abs(embed(*ext(1.0, 0.0)[0:2]) - ray_point(c, slc.B, 1e-3 * pot_scale, cfg)),
+        abs(embed(*ext(0.0, 0.0)[0:2]) - ray_point(c, slc.A, 1e-3 * POT_SCALE, cfg)),
+        abs(embed(*ext(1.0, 0.0)[0:2]) - ray_point(c, slc.B, 1e-3 * POT_SCALE, cfg)),
     ]
     return SliceEmbeddingReport(
         mesh=mesh,
@@ -803,6 +783,6 @@ def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = 
         max_dilatation=d1,
         refined_max_dilatation=d2,
         full_mesh_dilatation=d_full,
-        min_offboundary_potential=1e-3 * pot_scale,
+        min_offboundary_potential=1e-3 * POT_SCALE,
         points=pts,
     )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .config import Config
+
 
 @dataclass
 class SvgCanvas:
@@ -66,18 +68,17 @@ class SvgCanvas:
         return "\n".join(out)
 
 
-def render_puzzle(c, lam, level: int, potential: float | None = None,
-                  highlight_annulus: int | None = None, trace_cfg=None) -> str:
+def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
+                  cfg: Config = Config()) -> str:
     """Layered figure of the level-n puzzle: equipotential, alpha rays, piece
     fills, and optionally one critical annulus highlighted."""
     from .angles import normalize
-    from .geometry import TraceConfig, piece_curve, trace_rays
+    from .geometry import RAY_FLOOR, piece_curve, trace_rays
     from .puzzle import critical_piece, enumerate_pieces
 
-    cfg = trace_cfg or TraceConfig()
     top = math.log(cfg.start_radius)  # where every ray window starts
     # level n at top / 2^n; level 0 at the level-1 potential, below top
-    pot = potential if potential is not None else top * 2.0 ** -max(level, 1)
+    pot = top * 2.0 ** -max(level, 1)
     canvas = SvgCanvas()
 
     n_samp = 256
@@ -86,7 +87,7 @@ def render_puzzle(c, lam, level: int, potential: float | None = None,
     ring = [ray.points[-1][0] for ray in fan]
     canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
 
-    for ray in trace_rays(c, lam.cycle, pot_hi=pot, pot_lo=1e-3, cfg=cfg):
+    for ray in trace_rays(c, lam.cycle, pot_hi=pot, pot_lo=RAY_FLOOR, cfg=cfg):
         canvas.polyline([z for z, _ in ray.points], layer="rays", stroke="#c33", width=1.0)
 
     palette = ["#88aadd55", "#aad88a55", "#d8aa8855", "#d8d08855", "#b08ad855"]

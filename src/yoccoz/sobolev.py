@@ -74,16 +74,31 @@ def _r_quadrature(T: float, n_log: int, r_min: float):
     w = np.gradient(us) * rs  # dr = r du
     return rs, w
 
-def halfplane_norm(g, T: float = 40.0, n_t: int = 1601, n_log: int = 160,
-                   cap: float = 1e5) -> float:
+
+ENERGY_CAP = 1e5  # a refined double integral above this counts as divergent
+
+
+def _refined(value, message) -> float:
+    """value(r_min) at r_min = 1e-6, after checking that refining from 1e-4
+    leaves it below ENERGY_CAP and within 5% (plus 1e-9): a double integral
+    that keeps growing diverges, and message(v1, v2) says so."""
+    v1, v2 = value(1e-4), value(1e-6)
+    if v2 > ENERGY_CAP or (v2 - v1) > 0.05 * max(v1, 1e-12) + 1e-9:
+        raise NotFiniteEnergyError(message(v1, v2))
+    return v2
+
+
+def halfplane_norm(g) -> float:
     """(1/2pi) double integral of (g(s)-g(t))^2 / (s-t)^2.
 
-    g is evaluated directly (no resampling, so jumps are not smoothed away);
-    the difference quotient is bounded for Lipschitz g and the r-integral runs
-    on a log grid down to r_min.  Divergence - a jump in g - is detected by
-    refining r_min and watching the value climb.
+    g is evaluated directly (no resampling, so jumps are not smoothed away) at
+    1601 points of the window [-40, 40]; the difference quotient is bounded
+    for Lipschitz g and the r-integral runs on a 160-node log grid down to
+    r_min.  Divergence - a jump in g - is detected by refining r_min and
+    watching the value climb.
     """
-    ts = np.linspace(-T, T, n_t)
+    T = 40.0
+    ts = np.linspace(-T, T, 1601)
     wt = np.gradient(ts)
     geval = np.vectorize(g, otypes=[float])
     gt = geval(ts)
@@ -94,7 +109,7 @@ def halfplane_norm(g, T: float = 40.0, n_t: int = 1601, n_log: int = 160,
         )
 
     def value(r_min):
-        rs, wr = _r_quadrature(T, n_log, r_min)
+        rs, wr = _r_quadrature(T, 160, r_min)
         total = 0.0
         for sign in (+1.0, -1.0):
             for r, w in zip(sign * rs, wr):
@@ -108,12 +123,8 @@ def halfplane_norm(g, T: float = 40.0, n_t: int = 1601, n_log: int = 160,
         tail = ((lim_pos - gt) ** 2 / (T - ts + 1e-12) + (lim_neg - gt) ** 2 / (T + ts + 1e-12)) * wt
         return (total + 2 * float(tail.sum())) / (2 * math.pi)
 
-    v1, v2 = value(1e-4), value(1e-6)
-    if v2 > cap or (v2 - v1) > 0.05 * max(v1, 1e-12) + 1e-9:
-        raise NotFiniteEnergyError(
-            f"double integral keeps growing under refinement ({v1:.4g} -> {v2:.4g})"
-        )
-    return v2
+    return _refined(value, lambda v1, v2:
+                    f"double integral keeps growing under refinement ({v1:.4g} -> {v2:.4g})")
 
 
 def strip_kernel(i: int, j: int):
@@ -121,15 +132,14 @@ def strip_kernel(i: int, j: int):
     return lambda r: (np.exp(r / 2) + sign * np.exp(-r / 2)) ** 2
 
 
-def _pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float, n_log: int,
-                   cap: float) -> float:
+def _pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float) -> float:
     """I_ij: the (fi, fj) boundary-pair integral under the strip kernel, with
-    |r| up to 2T."""
+    |r| up to 2T on a 120-node log grid."""
     wt = np.gradient(fj.ts)
     kern = strip_kernel(i, j)
 
     def value(r_min):
-        rs, wr = _r_quadrature(T, n_log, r_min)
+        rs, wr = _r_quadrature(T, 120, r_min)
         total = 0.0
         for sign in (+1.0, -1.0):
             for r, w in zip(sign * rs, wr):
@@ -140,27 +150,24 @@ def _pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float, n_l
 
     if (i + j) % 2:
         return value(1e-4)  # bounded kernel, no singularity
-    v1, v2 = value(1e-4), value(1e-6)
-    if v2 > cap or (v2 - v1) > 0.05 * max(v1, 1e-12) + 1e-9:
-        raise NotFiniteEnergyError(f"I{i}{j} diverges under refinement")
-    return v2
+    return _refined(value, lambda v1, v2: f"I{i}{j} diverges under refinement")
 
 
-def strip_Iij(f0: BoundaryFn, f1: BoundaryFn, n_log: int = 120, cap: float = 1e5):
+def strip_Iij(f0: BoundaryFn, f1: BoundaryFn):
     """The four boundary-pair integrals; the harmonic extension's energy is
     sum(I_ij) / (2 pi)."""
     if abs(f0.limit_neg - f1.limit_neg) > 1e-9 or abs(f0.limit_pos - f1.limit_pos) > 1e-9:
         raise YoccozError("boundary components must share their limits at infinity")
     fs, T = (f0, f1), float(f0.ts[-1])
-    return tuple(_pair_integral(fs[i], fs[j], i, j, T, n_log, cap)
-                 for i in (0, 1) for j in (0, 1))
+    return tuple(_pair_integral(fs[i], fs[j], i, j, T) for i in (0, 1) for j in (0, 1))
 
 
 @functools.cache
-def kernel_constant(T: float = 80.0, n: int = 400_001) -> float:
-    """int ds / (e^{s/2} + e^{-s/2})^2, analytically tanh(s/2)/2 -> 1.  Cached:
-    every verify_slitbounds call reads it."""
-    s = np.linspace(-T, T, n)
+def kernel_constant() -> float:
+    """int ds / (e^{s/2} + e^{-s/2})^2, analytically tanh(s/2)/2 -> 1, by the
+    trapezoid rule on 400001 points of [-80, 80].  Cached: every
+    verify_slitbounds call reads it."""
+    s = np.linspace(-80.0, 80.0, 400_001)
     return float(np.trapezoid(1.0 / (np.exp(s / 2) + np.exp(-s / 2)) ** 2, s))
 
 
@@ -331,7 +338,7 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
 
 def _i00_of_trace(f0: BoundaryFn) -> float:
     """I00 of the trace alone, the same float as strip_Iij(f0, f0)[0]."""
-    return _pair_integral(f0, f0, 0, 0, float(f0.ts[-1]), n_log=120, cap=1e5)
+    return _pair_integral(f0, f0, 0, 0, float(f0.ts[-1]))
 
 
 def _squeeze_ratio(f: np.ndarray, xs, ys, e_below: float) -> float:

@@ -1,7 +1,9 @@
 """The ray tracer as it was before rays were traced in fans: one
 connectedness check per ray, and the Newton step with numpy's isfinite and a
 `Fraction` per target angle.  Kept as the oracle that fans must match bit for
-bit in every point and residual."""
+bit in every point and residual.  It holds its own copies of the fixed
+tracing constants (Newton tolerance 1e-13, 6 subdivisions, escape radius 1e3
+within 2000 iterations), so a change to those in `geometry` shows up here."""
 
 from __future__ import annotations
 
@@ -10,11 +12,20 @@ import math
 import numpy as np
 
 from yoccoz.angles import Angle, double
-from yoccoz.errors import TraceFailedError
-from yoccoz.geometry import TWO_PI, RayPolyline, TraceConfig, check_connected
+from yoccoz.config import Config
+from yoccoz.errors import NotConnectedError, TraceFailedError
+from yoccoz.geometry import TWO_PI, RayPolyline
 
 
-def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceConfig):
+def check_connected(c: complex):
+    z = 0j
+    for _ in range(2000):
+        z = z * z + c
+        if abs(z) > 1e3:
+            raise NotConnectedError(f"critical orbit escapes for c = {c}")
+
+
+def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config):
     """Solve f^n(z) = exp(2^n (t + 2 pi i theta)) by Newton from z0.
 
     n is chosen so the target modulus sits in [R0, R0^2); the angle 2^n theta
@@ -39,7 +50,7 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: TraceCo
         # achievable residual floor in doubles: rounding amplified by the
         # expansion |der| along the orbit and by the 2^n squarings of w
         floor = eps * (8 * abs(der) * max(abs(z), 1.0) + 8 * (2.0**n) * abs(w))
-        if abs(res) <= max(cfg.newton_tol * max(abs(w), 1.0), floor):
+        if abs(res) <= max(1e-13 * max(abs(w), 1.0), floor):
             return z, abs(res)
         if der == 0:
             return None, math.inf
@@ -55,10 +66,10 @@ def trace_ray(
     pot_hi: float | None = None,
     pot_lo: float = 1e-4,
     steps_per_halving: int | None = None,
-    cfg: TraceConfig = TraceConfig(),
+    cfg: Config = Config(),
 ) -> RayPolyline:
     """Trace R(theta) down dyadic potential levels by Newton continuation."""
-    check_connected(c, cfg)
+    check_connected(c)
     if pot_hi is None:
         pot_hi = math.log(cfg.start_radius)
     if not (pot_hi > pot_lo > 0):
@@ -78,7 +89,7 @@ def trace_ray(
             t_next = max(t_next, min(t, pot_hi))
         znew, res = _newton_target(c, theta, t_next, z, cfg)
         if znew is None:
-            znew, res = _subdivide(c, theta, t, t_next, z, cfg, cfg.max_subdivide)
+            znew, res = _subdivide(c, theta, t, t_next, z, cfg, 6)
         z, t = znew, t_next
         points.append((z, t))
         residuals.append(res)

@@ -52,6 +52,30 @@ def test_lamination_case1_exits_1(tmp_path):
     assert err["error"] == "Case1DegenerateError" and err["step"] == 1
 
 
+@pytest.mark.parametrize("edit", ["polygon", "sector"])
+def test_edited_lamination_file_exits_1(tmp_path, lam_json, edit):
+    """A stored lamination is checked key for key against the rebuild, the
+    sector and critical leaf included."""
+    import contextlib
+    import io
+
+    data = json.load(open(lam_json))
+    if edit == "polygon":
+        poly = data["polygons"][3][2]
+        poly[0] = "1/5" if poly[0] != "1/5" else "1/7"
+    else:
+        data["sector"] = data["sector"][::-1]
+    with open(lam_json, "w") as fh:
+        json.dump(data, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["tau", "--lam", lam_json, "--theta", "7/15", "--n", "4"], tmp_path)
+    assert code == 1 and err.getvalue() == ""
+    report = json.loads(out)
+    assert report["error"] == "YoccozError"
+    assert "stored lamination disagrees with the rebuild" in report["message"]
+
+
 def test_late_landing_exits_with_case1(tmp_path):
     """theta_v meets the alpha cycle after 9 doublings, beyond the depth-8
     lamination: queries that would need that level say so."""
@@ -150,6 +174,16 @@ def test_trace_cache_and_determinism(tmp_path, monkeypatch):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-stable, second run from the cache
     assert (tmp_path / "cache").exists()
+
+
+def test_trace_cache_file_name_is_pinned(tmp_path, monkeypatch):
+    """The key is c, theta, start_radius, steps_per_halving, newton_cap, the
+    four fixed tracing constants and pot_lo, in that order: cache files
+    written by earlier versions with the same settings stay hits."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(cache))
+    assert run_cli(["trace", "--c=-1,0", "--theta", "1/3"], tmp_path)[0] == 0
+    assert [p.name for p in cache.iterdir()] == ["ef18e9e2b956efa40d4eeee9.json"]
 
 
 def test_trace_cache_keys_on_trace_config(tmp_path, monkeypatch):
@@ -346,3 +380,21 @@ def test_console_script_installed():
     for name in ("lamination", "tau", "descendants", "tile", "certify", "renorm",
                  "tune", "trace", "render", "qc", "sobolev"):
         assert name in proc.stdout
+
+
+def test_model_report_script_runs(tmp_path):
+    """scripts/model_report.py at a small size: it calls the qcmodel, sobolev
+    and render functions by their keyword parameters, so it fails if one it
+    uses is removed."""
+    import os
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "model_report.py"),
+                           "--depth", "2", "--trials", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["slit_energy"]["trials"] == 1 and report["slit_energy"]["violations"] == 0
+    assert (tmp_path / "model_squares.svg").read_text().startswith("<svg")

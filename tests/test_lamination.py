@@ -8,6 +8,7 @@ from yoccoz.errors import Case1DegenerateError, InvalidThetaError, NeedsDeeperLa
 from yoccoz.lamination import (
     RayPairRelation,
     alpha_cycle,
+    apply_slice_word,
     bounded_geometry_report,
     build,
     cantor_coordinates,
@@ -336,6 +337,19 @@ def test_cantor_coordinates():
     assert cantor_coordinates([2]) == 1
     assert cantor_coordinates([2, 1]) == 1
     assert cantor_coordinates([1, 2]) == Fraction(1, 3)
+    assert cantor_coordinates([1], 1) == Fraction(1, 3)
+    assert cantor_coordinates([2], 1) == Fraction(2, 3)
+    assert cantor_coordinates([2, 1], 1) == Fraction(8, 9)
+
+
+def test_slice_words_reject_letters_other_than_1_and_2():
+    sd = build(1, 2, MISIUREWICZ_THETA, 6).slice_data()
+    for word in ([3], [1, 0], [2, 2, "1"]):
+        with pytest.raises(ValueError, match="1 or 2"):
+            apply_slice_word(sd, word, sd.A.frac, sd.D.frac)
+        with pytest.raises(ValueError, match="1 or 2"):
+            cantor_coordinates(word)
+    assert apply_slice_word(sd, [2], sd.A.frac, sd.D.frac) == (sd.B.frac, sd.C.frac)
 
 
 def test_bounded_geometry_two_ratio_triples():

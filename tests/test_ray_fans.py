@@ -9,6 +9,7 @@ import pytest
 from yoccoz import geometry as g
 from yoccoz import qcmodel as qc
 from yoccoz.angles import normalize
+from yoccoz.config import Config
 from yoccoz.errors import NotConnectedError, TraceFailedError, YoccozError
 from yoccoz.lamination import build
 from yoccoz.render import render_puzzle
@@ -30,7 +31,7 @@ def seeded_angles(seed, count):
     return out
 
 
-def oracle_fan(c, thetas, pot_hi=None, pot_lo=1e-4, cfg=g.TraceConfig()):
+def oracle_fan(c, thetas, pot_hi=None, pot_lo=1e-4, cfg=Config()):
     floors = [pot_lo] * len(thetas) if isinstance(pot_lo, (int, float)) else pot_lo
     return [ray_oracle.trace_ray(c, theta, pot_hi, lo, cfg=cfg) for theta, lo in zip(thetas, floors)]
 
@@ -68,7 +69,7 @@ def test_single_ray_is_a_fan_of_one():
 
 def test_subdivision_path_equals_the_oracle(monkeypatch):
     """At newton_cap = 4 most continuation steps fall back to subdivision."""
-    cfg = g.TraceConfig(newton_cap=4)
+    cfg = Config(newton_cap=4)
     thetas = seeded_angles(4, 12)
     c = 0.282 + 0.53j
     calls = []
@@ -80,7 +81,7 @@ def test_subdivision_path_equals_the_oracle(monkeypatch):
 
 
 def test_newton_cap_too_small_fails_in_both():
-    cfg = g.TraceConfig(newton_cap=3)
+    cfg = Config(newton_cap=3)
     thetas = seeded_angles(3, 4)
     with pytest.raises(TraceFailedError):
         g.trace_rays(-1, thetas, pot_lo=1e-3, cfg=cfg)
