@@ -16,6 +16,8 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 from . import __version__
 from .angles import Angle, normalize
@@ -65,17 +67,34 @@ def _report(cfg: Config, **payload) -> dict:
     return {"version": __version__, "config": config_dict(cfg), **payload}
 
 
+_LAM_KEYS = {"p": int, "q": int, "depth": int, "theta_v": str}
+
+
 def _load_lam(path: str):
     """Rebuild a stored lamination and check that the file holds exactly what
     `lamination` would write for it."""
     from .lamination import build
 
     with open(path) as fh:
-        data = json.load(fh)
-    lam = build(data["p"], data["q"], _angle(data["theta_v"]), data["depth"])
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise YoccozError(f"{path}: not a JSON lamination file: {exc}") from None
+    if not isinstance(data, dict) or any(type(data.get(k)) is not t for k, t in _LAM_KEYS.items()):
+        raise YoccozError(f"{path}: a lamination file is an object with integer p, q and "
+                          "depth and a string theta_v")
+    try:
+        lam = build(data["p"], data["q"], _angle(data["theta_v"]), data["depth"])
+    except ValueError as exc:
+        raise YoccozError(f"{path}: stored lamination cannot be rebuilt: {exc}") from None
     if any(data.get(key) != value for key, value in _lam_payload(lam).items()):
         raise YoccozError(f"{path}: stored lamination disagrees with the rebuild")
     return lam
+
+
+def _reduced(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def _lam_payload(lam) -> dict:
@@ -86,9 +105,8 @@ def _lam_payload(lam) -> dict:
         "depth": lam.depth,
         "sector": [str(lam.sector[0]), str(lam.sector[1])],
         "critical_leaf": [str(lam.critical_leaf[0]), str(lam.critical_leaf[1])],
-        "polygons": [
-            [[str(v) for v in poly.vertices] for poly in layer] for layer in lam.polygons
-        ],
+        "polygons": [[[_reduced(n, den) for n in verts] for verts in layer]
+                     for j, layer in enumerate(lam.layers) for den in (lam.layer_den(j),)],
     }
 
 
@@ -418,9 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, for callers that run `main` many times (the
+    benchmark, the tests): building it takes milliseconds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         overrides = {"seed": args.seed} if args.seed is not None else {}
         cfg = load_config(args.config, overrides)

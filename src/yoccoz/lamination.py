@@ -1,12 +1,17 @@
 """Invariant laminations for the p/q limb: the alpha-ray cycle, its pullbacks,
 ray-pair equivalence, and the slice dynamics on the critical-value sector.
 
-Polygon lists are materialized up to ``depth`` for reports and invariant
-checks.  Gap queries at any level come from the separation level L(u, w), the
-least level at which u and w lie in different gaps: L = 0 across the sectors
-of the alpha polygon, else L = 1 + min(L(2u, 2w), L(2u, theta_v)), the second
-term only if the critical leaf separates u and w.  Rational orbits are
-eventually periodic, so L(c, theta_v) on the critical-value orbit is one
+The polygon layers are built up to ``depth`` in integers: every vertex at
+depth j is a numerator n over D_j = (2^q - 1) 2^j, whose halves are n and
+n + D_j over D_{j+1}, so a layer's cyclic order is integer order and the side
+of the critical leaf one comparison.  ``Lamination.polygons`` turns them into
+reduced ``Angle``s on first read.
+
+Gap queries at any level come from the separation level L(u, w), the least
+level at which u and w lie in different gaps: L = 0 across the sectors of the
+alpha polygon, else L = 1 + min(L(2u, 2w), L(2u, theta_v)), the second term
+only if the critical leaf separates u and w.  Rational orbits are eventually
+periodic, so L(c, theta_v) on the critical-value orbit is one
 shortest-path search at build time, and L against any other orbit one
 backward pass capped at the query level: no recursion, no memo, any level
 (2^40 polygons cannot be stored).  Tests cross-check the queries against the
@@ -19,10 +24,11 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 
-from .angles import Angle, ArcPosition, arc_length, double, from_fraction, in_arc, normalize
+from .angles import Angle, ArcPosition, double, from_fraction, in_arc, normalize
 from .errors import (
     Case1DegenerateError,
     InvalidThetaError,
@@ -151,6 +157,8 @@ class Lamination:
         self.cycle = tuple(cyc)
         self.cycle_set = frozenset(cyc)
         self._cycle_pairs = frozenset((a.num, a.den) for a in cyc)
+        full = (1 << q) - 1
+        self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
 
         # The critical-value orbit c_k = 2^k theta_v up to its first repeat or
         # its first cycle angle (late landing), as (num, den) pairs.
@@ -174,14 +182,11 @@ class Lamination:
             )
         self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
 
-        self.polygons: list[list[Polygon]] = [[Polygon(self.cycle, 0)]]
+        # layers[j]: the depth-j polygons as sorted numerators over layer_den(j)
+        self.layers: list[list[tuple[int, ...]]] = [[tuple(self._cycle_nums)]]
         for j in range(depth):
-            self.polygons.append(
-                [child for parent in self.polygons[j] for child in self._split(parent, j + 1)]
-            )
+            self.layers.append(self._split(self.layers[j], j))
 
-        full = (1 << q) - 1
-        self._cycle_nums = [a.num * (full // a.den) for a in self.polygons[0][0].vertices]
         self.critical_orbit = tuple(Angle(*c) for c in orbit)
         self._succ = list(range(1, len(orbit))) + [self._orbit_index.get(x)]
         self._orbit_pos = [self._position(*c) for c in orbit]
@@ -197,17 +202,38 @@ class Lamination:
     # ------------------------------------------------------------------ build
 
     def _critical_value_sector(self) -> Arc:
-        return min(map(self._sector_arc, range(self.q)), key=arc_length)
+        """The shortest sector, by the numerator gaps over D_0."""
+        nums, full = self._cycle_nums, self.layer_den(0)
+        return self._sector_arc(min(range(self.q),
+                                    key=lambda i: (nums[(i + 1) % self.q] - nums[i]) % full))
 
-    def _split(self, parent: Polygon, depth: int) -> list[Polygon]:
-        """The two preimage polygons of parent, on either side of the leaf."""
-        sides: tuple[list[Angle], list[Angle]] = ([], [])
-        for v in parent.vertices:
-            for u in _halves(v):
-                if u in self.critical_leaf:
-                    raise Case1DegenerateError(depth - 1)
-                sides[self._leaf_side(u)].append(u)
-        return [Polygon(tuple(sorted(side)), depth) for side in sides]
+    def layer_den(self, j: int) -> int:
+        """D_j = (2^q - 1) 2^j, the common denominator of the depth-j vertices."""
+        return ((1 << self.q) - 1) << j
+
+    def _split(self, polys, j: int) -> list[tuple[int, ...]]:
+        """Preimages of depth-j polygons (numerators over D_j): for each, the
+        polygon inside the critical leaf's arc (h, h + 1/2), then the one
+        outside, as numerators over D_{j+1}.  The halves of n are n and n + D_j;
+        a low half n lies inside iff n > h D_{j+1}, and of each antipodal pair
+        exactly one does, so both polygons come out sorted."""
+        den = self.layer_den(j)
+        h = self.critical_leaf[0]
+        cut, rem = divmod(h.num * 2 * den, h.den)
+        out = []
+        for verts in polys:
+            k = bisect_right(verts, cut)
+            if not rem and k and verts[k - 1] == cut:
+                raise Case1DegenerateError(j)  # its halves are the leaf ends
+            out.append(verts[k:] + tuple(n + den for n in verts[:k]))
+            out.append(verts[:k] + tuple(n + den for n in verts[k:]))
+        return out
+
+    @cached_property
+    def polygons(self) -> list[list[Polygon]]:
+        """The layers as polygons of reduced angles, built on first read."""
+        return [[Polygon(tuple(normalize(n, den) for n in verts), j) for verts in layer]
+                for j, layer in enumerate(self.layers) for den in (self.layer_den(j),)]
 
     def _critical_values(self) -> list:
         """L(c_a, theta_v) for every orbit point c_a, in O(P) memory.  The pair
@@ -423,14 +449,15 @@ class Lamination:
         """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
         self.guard_level(level + 1, theta)
         pos, r = self._orbit_levels(theta, level)
-        arc = self._sector_arc(pos[level][0])
-        depth1 = self.polygons[1] if self.depth >= 1 else self._split(self.polygons[0][0], 1)
-        polys = [poly for poly in depth1 if all(arc_contains(arc, v) for v in poly.vertices)]
+        s = pos[level][0]  # the open sector (c_s, c_{s+1}), over D_1 = 2 D_0
+        lo, hi = 2 * self._cycle_nums[s], 2 * self._cycle_nums[(s + 1) % self.q]
+        polys = [verts for verts in self._split(self.layers[0], 0)
+                 if all(lo < n < hi if lo < hi else n > lo or n < hi for n in verts)]
         for m in range(level - 1, -1, -1):
-            side = None if r[m + 1] >= level - m else pos[m][1]
-            polys = [child for poly in polys for child in self._split(poly, 0)
-                     if side is None or self._leaf_side(child.vertices[0]) == side]
-        return [poly.vertices for poly in polys]
+            children = self._split(polys, level - m)  # inside, outside, inside, ...
+            polys = children if r[m + 1] >= level - m else children[pos[m][1]::2]
+        den = self.layer_den(level + 1)
+        return [tuple(normalize(n, den) for n in verts) for verts in polys]
 
     # ----------------------------------------------------------- equivalence
 
@@ -444,11 +471,13 @@ class Lamination:
         if e is None:
             return None
         self.guard_level(e)
-        cls = self.polygons[0][0]
-        for m in range(e - 1, -1, -1):
-            t = double(theta, m)
-            cls = next(child for child in self._split(cls, 0) if t in child)
-        return cls.vertices
+        den = self.layer_den(e)
+        n = theta.num * den // theta.den  # exact: 2^e theta is a cycle angle
+        cls = self.layers[0][0]
+        for j in range(e):  # the depth-(j+1) class holds 2^(e-j-1) theta = n mod D_{j+1}
+            t = n % self.layer_den(j + 1)
+            cls = next(child for child in self._split([cls], j) if t in child)
+        return tuple(normalize(v, den) for v in cls)
 
     def ray_pair_equiv(self, t1: Angle, t2: Angle) -> RayPairRelation:
         c1 = self.vertex_class(t1)

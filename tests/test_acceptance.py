@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from yoccoz.angles import double, from_fraction, normalize
+from yoccoz.angles import arc_length, double, from_fraction, normalize
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError
-from yoccoz.lamination import alpha_cycle, arc_length, build, check_unlinked
+from yoccoz.lamination import alpha_cycle, build, check_unlinked
 from yoccoz import geometry as g
 from yoccoz import puzzle as pz
 from yoccoz import qcmodel as qc

@@ -76,6 +76,33 @@ def test_edited_lamination_file_exits_1(tmp_path, lam_json, edit):
     assert "stored lamination disagrees with the rebuild" in report["message"]
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[]", "a lamination file is an object"),
+    ('{"q": 2}', "a lamination file is an object"),
+    ('{"p": 1, "q": 2, "theta_v": "2/5", "depth": "3"}', "a lamination file is an object"),
+    ('{"p": 1, "q": 2, "theta_v": "2/5", "depth": true}', "a lamination file is an object"),
+    ('{"p": 1, "q": 2, "theta_v": "2/x", "depth": 3}', "cannot be rebuilt"),
+    ('{"p": 2, "q": 4, "theta_v": "2/5", "depth": 3}', "cannot be rebuilt"),
+    ('{"p": 1, "q": 2, "theta_v": "2/5", "depth": 3}', "disagrees with the rebuild"),
+    ('{"p": 1, ', "not a JSON lamination file"),
+])
+def test_malformed_lamination_file_exits_1(tmp_path, text, message):
+    """The file's shape is checked before the rebuild: no traceback, exit 1
+    with a JSON YoccozError and nothing on stderr."""
+    import contextlib
+    import io
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["tau", "--lam", str(path), "--theta", "7/15", "--n", "4"],
+                            tmp_path)
+    assert code == 1 and err.getvalue() == ""
+    report = json.loads(out)
+    assert report["error"] == "YoccozError" and message in report["message"]
+
+
 def test_late_landing_exits_with_case1(tmp_path):
     """theta_v meets the alpha cycle after 9 doublings, beyond the depth-8
     lamination: queries that would need that level say so."""

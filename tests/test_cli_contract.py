@@ -1,6 +1,6 @@
-"""The CLI contract on fuzzed argument lists and fuzzed config files: every
-run exits 0, 1 or 2, and every exit 1 prints a JSON object with an ``error``
-key.
+"""The CLI contract on fuzzed argument lists, config files and lamination
+files: every run exits 0, 1 or 2, and every exit 1 prints a JSON object with
+an ``error`` key.
 
 Sizes stay small so the whole property runs in seconds: depth <= 6,
 level <= 40, q <= 16, trials <= 2, grid <= 16, and config values are ints
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from yoccoz.cli import main
 from yoccoz.config import Config
+from yoccoz.errors import YoccozError
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +98,18 @@ argv = st.tuples(opt("--seed", num(-1, 9)), commands, mangle).map(lambda t: t[0]
 
 
 def run(args):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(args)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def check_contract(args):
-    code, out = run(args)
+    code, out, _ = run(args)
     assert code in (0, 1, 2), (args, code)
     if code == 1:
         err = json.loads(out)
@@ -148,3 +150,52 @@ def test_cli_contract_on_fuzzed_config_files(workdir, text):
         fh.write(text)
     for args in CHEAP_COMMANDS:
         check_contract(["--config", "fuzz.cfg", *args])
+
+
+# lamination files: the valid file with one key dropped or set to junk, a
+# JSON document of another shape, or text that is not JSON
+def subclass_names(cls):
+    return {cls.__name__}.union(*(subclass_names(sub) for sub in cls.__subclasses__()))
+
+
+YOCCOZ_ERRORS = subclass_names(YoccozError)
+LAM_KEYS = ["p", "q", "theta_v", "depth", "sector", "critical_leaf", "polygons", "version"]
+json_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(),
+                      st.text(max_size=6), angle, st.lists(st.integers(0, 3), max_size=3),
+                      st.just({}))
+lam_edit = st.one_of(
+    st.sampled_from(LAM_KEYS).map(lambda key: ("drop", key, None)),
+    st.tuples(st.just("set"), st.sampled_from(LAM_KEYS), json_junk),
+    json_junk.map(lambda doc: ("replace", None, doc)),
+    st.integers(0, 400).map(lambda cut: ("truncate", cut, None)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit=lam_edit)
+def test_cli_contract_on_fuzzed_lamination_files(workdir, edit):
+    """No traceback and nothing on stderr: a malformed file exits 1 with a
+    YoccozError (a subclass, such as Case1DegenerateError, when the edited
+    theta_v is one the rebuild rejects)."""
+    with open("lam.json") as fh:
+        text = fh.read()
+    kind, key, value = edit
+    if kind == "truncate":
+        text = text[:key]
+    else:
+        data = json.loads(text)
+        if kind == "drop":
+            data.pop(key, None)
+        elif kind == "set":
+            data[key] = value
+        else:
+            data = value
+        text = json.dumps(data)
+    with open("fuzz_lam.json", "w") as fh:
+        fh.write(text)
+    for args in (["tau", "--lam", "fuzz_lam.json", "--theta", "CRITICAL", "--n", "12"],
+                 ["renorm", "--lam", "fuzz_lam.json", "--budget", "4"]):
+        code, out, err = run(args)
+        assert code in (0, 1) and err == "", (edit, code, err)
+        if code == 1:
+            assert json.loads(out)["error"] in YOCCOZ_ERRORS, (edit, out)

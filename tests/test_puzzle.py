@@ -252,8 +252,7 @@ def test_lemma_findann_over_found_drops(lam3):
     so the check reports how many drops it saw."""
     import random
     from fractions import Fraction
-    from yoccoz.lamination import arc_length
-    from yoccoz.angles import from_fraction
+    from yoccoz.angles import arc_length, from_fraction
 
     n1, n2 = CASE3_FRATERNAL
     L = max(n1, n2) + 3

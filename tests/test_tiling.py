@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from yoccoz.angles import from_fraction, normalize
-from yoccoz.lamination import arc_length, build
+from yoccoz.angles import arc_length, from_fraction, normalize
+from yoccoz.lamination import build
 from yoccoz import puzzle as pz
 from yoccoz import tiling as tl
 
