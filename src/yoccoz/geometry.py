@@ -119,6 +119,13 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config)
     return None, math.inf
 
 
+def check_window(pot_hi: float, pot_lo: float) -> None:
+    """Refuse a ray window unless pot_hi > pot_lo > 0."""
+    if not (pot_hi > pot_lo > 0):
+        raise YoccozError(f"a ray window needs pot_hi > pot_lo > 0, "
+                          f"got pot_hi = {pot_hi:g} and pot_lo = {pot_lo:g}")
+
+
 def trace_rays(
     c: complex,
     thetas: Sequence[Angle],
@@ -136,9 +143,7 @@ def trace_rays(
         pot_hi = math.log(cfg.start_radius)
     floors = [pot_lo] * len(thetas) if isinstance(pot_lo, (int, float)) else pot_lo
     for lo in floors:
-        if not (pot_hi > lo > 0):
-            raise YoccozError(f"a ray window needs pot_hi > pot_lo > 0, "
-                              f"got pot_hi = {pot_hi:g} and pot_lo = {lo:g}")
+        check_window(pot_hi, lo)
     check_connected(c)
     return [_continue_ray(c, theta, pot_hi, lo, cfg)
             for theta, lo in zip(thetas, floors, strict=True)]
@@ -228,29 +233,46 @@ def ray_point(c: complex, theta: Angle, t: float, cfg: Config = Config()) -> com
 # ------------------------------------------------------------ piece curves
 
 
+def piece_curves(c, lam, pieces, potential: float, samples_per_arc: int = 8,
+                 cfg: Config = Config(), rays: Sequence[Angle] = ()
+                 ) -> tuple[list[list[complex]], list[RayPolyline]]:
+    """Closed ccw polylines around puzzle pieces: equipotential arcs over the
+    trace arcs joined by the bounding ray pairs (rays truncated at RAY_FLOOR and
+    closed across the landing point).
+
+    Neighbouring pieces share arc samples and bounding rays, so the distinct
+    arc samples of all pieces are traced as one fan and the distinct bounding
+    rays, together with the extra angles ``rays``, as another.  Returns the
+    curves and the polylines of ``rays``."""
+    arcs_of = [piece.boundary for piece in pieces]
+    # samples_per_arc + 1 equally spaced angles from a to b (ccw) on each arc
+    samples_of = [[[arc_point(a, b, Fraction(i, samples_per_arc))
+                    for i in range(samples_per_arc + 1)] for a, b in arcs] for arcs in arcs_of]
+    # arc i ends on b_i and the next arc starts on a_{i+1}
+    ends_of = [[(b, arcs[(i + 1) % len(arcs)][0]) for i, (_, b) in enumerate(arcs)]
+               for arcs in arcs_of]
+    samples = list(dict.fromkeys(t for arcs in samples_of for arc in arcs for t in arc))
+    bounding = list(dict.fromkeys([t for ends in ends_of for pair in ends for t in pair]
+                                  + list(rays)))
+    sample_at = dict(zip(samples, ray_points(c, samples, [potential] * len(samples), cfg)))
+    ray_at = dict(zip(bounding, trace_rays(c, bounding, pot_hi=potential, pot_lo=RAY_FLOOR,
+                                           cfg=cfg)))
+    curves = []
+    for arcs, ends in zip(samples_of, ends_of):
+        pts: list[complex] = []
+        for arc, (end, start) in zip(arcs, ends):
+            pts.extend(sample_at[t] for t in arc)
+            pts.extend(z for z, _ in ray_at[end].points)
+            pts.extend(z for z, _ in reversed(ray_at[start].points))
+        pts.append(pts[0])
+        curves.append(pts)
+    return curves, [ray_at[theta] for theta in rays]
+
+
 def piece_curve(c, lam, piece, potential: float, samples_per_arc: int = 8,
                 cfg: Config = Config()) -> list[complex]:
-    """Closed ccw polyline around a puzzle piece: equipotential arcs over the
-    trace arcs joined by the bounding ray pairs (rays truncated at RAY_FLOOR and
-    closed across the landing point).  The arc samples are one fan and the
-    bounding rays another."""
-    arcs = piece.boundary
-    angles = []
-    for a, b in arcs:  # samples_per_arc + 1 equally spaced angles from a to b (ccw)
-        angles += [arc_point(a, b, Fraction(i, samples_per_arc))
-                   for i in range(samples_per_arc + 1)]
-    arc_pts = ray_points(c, angles, [potential] * len(angles), cfg)
-    # arc i ends on b_i and the next arc starts on a_{i+1}
-    ends = [theta for i, (_, b) in enumerate(arcs) for theta in (b, arcs[(i + 1) % len(arcs)][0])]
-    rays = trace_rays(c, ends, pot_hi=potential, pot_lo=RAY_FLOOR, cfg=cfg)
-    per_arc = samples_per_arc + 1
-    pts: list[complex] = []
-    for i in range(len(arcs)):
-        pts.extend(arc_pts[i * per_arc:(i + 1) * per_arc])
-        pts.extend(z for z, _ in rays[2 * i].points)
-        pts.extend(z for z, _ in reversed(rays[2 * i + 1].points))
-    pts.append(pts[0])
-    return pts
+    """The closed ccw polyline around one puzzle piece (see piece_curves)."""
+    return piece_curves(c, lam, [piece], potential, samples_per_arc, cfg)[0][0]
 
 
 def winding_number(curve: list[complex], z0: complex) -> int:
@@ -280,10 +302,7 @@ def piece_diameters(c, lam, level: int, cfg: Config = Config()):
     if not pieces:
         raise YoccozError(f"no pieces at level {level}")
     pot = min(2.0, 0.4 * math.log(cfg.start_radius)) * 2.0 ** (-level)
-    diams = []
-    for piece in pieces:
-        curve = piece_curve(c, lam, piece, pot, cfg=cfg)
-        diams.append(curve_diameter(curve))
+    diams = [curve_diameter(curve) for curve in piece_curves(c, lam, pieces, pot, cfg=cfg)[0]]
     arr = np.array(diams)
     return {"level": level, "count": len(diams), "max": float(arr.max()),
             "median": float(np.median(arr)), "potential": pot}

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .config import Config
 from .errors import ModelViolationError, OutsideDomainError
-from .plgeom import Cell, PLAtlas, conjugate_cell, make_cell, similarity, singular_value_ratio, vec
+from .plgeom import (AffineMap, Cell, PLAtlas, conjugate_cell, make_cell, similarity,
+                     singular_value_ratio, vec)
 
 HALF = Fraction(1, 2)
 THREE_FIFTHS = Fraction(3, 5)
@@ -173,13 +174,10 @@ def block_map(width, height, a_lo, a_hi, t_width, t_height, slit_x, slit_len) ->
     return PLAtlas(cells, domain_tag="block")
 
 
-def _canonical_block_cells() -> list[Cell]:
-    """The block instance underlying the phi decomposition: marked 3:1:1
-    rectangle onto the 20:5:1 slitted one (both centered)."""
-    return block_map(3, 1, 1, 2, 20, 5, 10, 1).cells
-
-
-BLOCK_DILATATION = max(c.map.dilatation() for c in _canonical_block_cells())
+# The block instance underlying the phi decomposition: marked 3:1:1
+# rectangle onto the 20:5:1 slitted one (both centered).
+BLOCK_CELLS: tuple[Cell, ...] = tuple(block_map(3, 1, 1, 2, 20, 5, 10, 1).cells)
+BLOCK_DILATATION = max(c.map.dilatation() for c in BLOCK_CELLS)
 
 
 # ------------------------------------------------------------- phi atlas
@@ -219,14 +217,14 @@ def phi_atlas(depth: int) -> PLAtlas:
     (strip levels 0..depth, upper and lower).  Materializes every cell; the
     lazy PhiModel answers the same questions from one block per level."""
     _check_phi_depth(depth)
-    base = _canonical_block_cells()
     cells: list[Cell] = []
     for n in range(depth + 1):
         for i in range(1 << n):
             for lower in (False, True):
                 smap, tmap = _phi_block(n, i, lower)
                 tag = f"{'low' if lower else 'up'}/n{n}/i{i}"
-                cells.extend(conjugate_cell(c, smap, tmap, tag=f"{tag}/{c.tag}") for c in base)
+                cells.extend(conjugate_cell(c, smap, tmap, tag=f"{tag}/{c.tag}")
+                             for c in BLOCK_CELLS)
     return PLAtlas(cells, domain_tag="phi")
 
 
@@ -234,16 +232,16 @@ class PhiModel:
     """phi to strip level ``depth`` without materializing its cells.
 
     Every cell of phi_atlas(depth) is a conjugate tmap o A o smap^-1 of a
-    canonical block cell A by the similarity pair of its block.  A block's
-    linear parts depend only on the level n and the half, so one block per
-    (n, half) carries every dilatation; a point's level follows from |y| and
-    its block from the first n ternary digits of x.
+    canonical block cell A by the similarity pair of its block.  Its linear
+    part is lambda_n M, M the linear part of A, lambda_n = 3^(n+1)/(10 2^n)
+    the ratio of the level-n target and source scales, with the signs of the
+    off-diagonal entries flipped in the lower half; a point's level follows
+    from |y| and its block from the first n ternary digits of x.
     """
 
     def __init__(self, depth: int):
         _check_phi_depth(depth)
         self.depth = depth
-        self._base = _canonical_block_cells()
 
     @property
     def cell_count(self) -> int:
@@ -252,9 +250,18 @@ class PhiModel:
 
     def dilatations(self) -> list[float]:
         """The cell dilatations of block 0 of every level and half: the same
-        floats as phi_atlas(depth).dilatations(), without the multiplicities."""
-        return [conjugate_cell(c, *_phi_block(n, 0, lower)).map.dilatation()
-                for n in range(self.depth + 1) for lower in (False, True) for c in self._base]
+        floats as phi_atlas(depth).dilatations(), without the multiplicities.
+
+        They come from the scaled linear parts lambda_n M alone.  The lower
+        half's sign flips change neither a^2 + b^2 + c^2 + d^2 nor the
+        determinant, so its 9 floats repeat the upper half's."""
+        out: list[float] = []
+        for n in range(self.depth + 1):
+            lam = Fraction(3 ** (n + 1), 10 * 2**n)
+            level = [AffineMap(lam * m.a, lam * m.b, lam * m.c, lam * m.d, 0, 0).dilatation()
+                     for m in (cell.map for cell in BLOCK_CELLS)]
+            out += level + level
+        return out
 
     def max_dilatation(self) -> float:
         return max(self.dilatations())
@@ -299,7 +306,7 @@ class PhiModel:
             raise OutsideDomainError(f"{p} is outside the phi atlas")
         smap, tmap = _phi_block(*block)
         u = ((q[0] - smap.tx) / smap.a, (q[1] - smap.ty) / smap.d)
-        cell = next(c for c in self._base if c.contains(u))
+        cell = next(c for c in BLOCK_CELLS if c.contains(u))
         return tmap(cell.map(u))
 
 

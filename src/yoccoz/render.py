@@ -73,7 +73,7 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     """Layered figure of the level-n puzzle: equipotential, alpha rays, piece
     fills, and optionally one critical annulus highlighted."""
     from .angles import normalize
-    from .geometry import RAY_FLOOR, piece_curve, trace_rays
+    from .geometry import RAY_FLOOR, check_window, piece_curves, trace_rays
     from .puzzle import critical_piece, enumerate_pieces
 
     top = math.log(cfg.start_radius)  # where every ray window starts
@@ -87,18 +87,24 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     ring = [ray.points[-1][0] for ray in fan]
     canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
 
-    for ray in trace_rays(c, lam.cycle, pot_hi=pot, pot_lo=RAY_FLOOR, cfg=cfg):
+    # the piece count grows exponentially with the level: refuse an empty
+    # ray window before enumerating the pieces
+    check_window(pot, RAY_FLOOR)
+    pieces = enumerate_pieces(lam, level)
+    annuli = [] if highlight_annulus is None else [
+        (critical_piece(lam, lev), color)
+        for lev, color in ((highlight_annulus, "#3333cc"), (highlight_annulus + 1, "#cc33cc"))]
+    # pieces, annulus outlines and alpha-cycle rays share one fan of bounding rays
+    curves, cycle_rays = piece_curves(c, lam, pieces + [piece for piece, _ in annuli], pot,
+                                      cfg=cfg, rays=lam.cycle)
+    for ray in cycle_rays:
         canvas.polyline([z for z, _ in ray.points], layer="rays", stroke="#c33", width=1.0)
 
     palette = ["#88aadd55", "#aad88a55", "#d8aa8855", "#d8d08855", "#b08ad855"]
-    for i, piece in enumerate(enumerate_pieces(lam, level)):
-        curve = piece_curve(c, lam, piece, pot, cfg=cfg)
+    for i, curve in enumerate(curves[:len(pieces)]):
         canvas.polygon(curve, layer="pieces", fill=palette[i % len(palette)])
-
-    if highlight_annulus is not None:
-        for lev, color in ((highlight_annulus, "#3333cc"), (highlight_annulus + 1, "#cc33cc")):
-            curve = piece_curve(c, lam, critical_piece(lam, lev), pot, cfg=cfg)
-            canvas.polyline(curve, layer="annuli", stroke=color, width=1.5)
+    for curve, (_, color) in zip(curves[len(pieces):], annuli):
+        canvas.polyline(curve, layer="annuli", stroke=color, width=1.5)
     return canvas.to_svg()
 
 

@@ -297,6 +297,8 @@ def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch, la
 def test_qc_and_sobolev_commands(tmp_path):
     code, out = run_cli(["qc", "phi", "--depth", "3"], tmp_path)
     assert code == 0 and json.loads(out)["cells"] == 270
+    code, out = run_cli(["qc", "phi", "--depth", "1000"], tmp_path)
+    assert code == 0 and json.loads(out)["cells"] == 18 * (2**1001 - 1)
 
     code, out = run_cli(["qc", "diamond", "--grid", "64"], tmp_path)
     rep = json.loads(out)

@@ -7,6 +7,7 @@ import pytest
 from yoccoz.angles import normalize
 from yoccoz.errors import OutsideDomainError
 from yoccoz.lamination import build
+from yoccoz import plgeom
 from yoccoz.plgeom import AffineMap
 from yoccoz import qcmodel as qc
 
@@ -153,6 +154,33 @@ def test_phi_model_dilatations_match_atlas():
         assert model.cell_count == len(atlas) == 18 * (2 ** (d + 1) - 1)
         assert set(model.dilatations()) == set(atlas.dilatations())  # exact floats
         assert model.max_dilatation() == atlas.max_dilatation()
+
+
+def _block0_dilatations(depth):
+    """Oracle: block 0 of every level and half conjugated cell by cell, as
+    PhiModel.dilatations did before it read the level scale."""
+    return [plgeom.conjugate_cell(c, *qc._phi_block(n, 0, lower)).map.dilatation()
+            for n in range(depth + 1) for lower in (False, True) for c in qc.BLOCK_CELLS]
+
+
+def test_phi_model_dilatations_equal_the_block_conjugation():
+    """Exact floats, in order, at every depth up to 64.  They vary with the
+    level in the last bits, so no single level's 9 values would do."""
+    oracle = _block0_dilatations(64)
+    for d in range(1, 65):
+        assert qc.PhiModel(d).dilatations() == oracle[:18 * (d + 1)]
+
+
+def test_phi_model_dilatations_build_no_cell(monkeypatch):
+    calls = []
+    for module in (plgeom, qc):
+        for name in ("make_cell", "conjugate_cell"):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=f, **k: calls.append(1) or f(*a, **k))
+    assert len(qc.PhiModel(12).dilatations()) == 18 * 13
+    assert calls == []
+    _block0_dilatations(1)  # the counters see the conjugation
+    assert len(calls) == 2 * 18 * 2
 
 
 def _outcome(evaluate, p):

@@ -1,5 +1,6 @@
-"""Ray fans against the one-ray-at-a-time tracer they replace: every point,
-residual, error and rendered byte must be the same."""
+"""Ray fans against the one-ray-at-a-time tracer they replace, and figures
+against the one-piece-at-a-time drawing they replace: every point, residual,
+error and rendered byte must be the same."""
 
 import math
 import random
@@ -15,7 +16,8 @@ from yoccoz.lamination import build
 from yoccoz.render import render_puzzle
 
 import ray_oracle
-from fixtures import MISIUREWICZ_THETA, RABBIT_WAKE_THETA
+import render_oracle
+from fixtures import MISIUREWICZ_THETA, RABBIT_WAKE_THETA, SATELLITE_THETA
 
 CS = (-1 + 0j, 0j, -0.122561 + 0.744862j, 0.282 + 0.53j)
 POT = math.log(100.0) / 2  # render's level-1 potential at the default start radius
@@ -107,17 +109,64 @@ def test_bad_window_names_both_potentials():
         g.trace_ray(-1, normalize(1, 3), pot_lo=10.0)
 
 
-@pytest.mark.parametrize("theta_v,q", [(normalize(2, 5), 2), (RABBIT_WAKE_THETA, 3)],
-                         ids=["half", "rabbit"])
+FIXTURES = pytest.mark.parametrize("theta_v,q", [(SATELLITE_THETA, 2), (RABBIT_WAKE_THETA, 3)],
+                                   ids=["half", "rabbit"])
+
+
+@FIXTURES
 @pytest.mark.parametrize("c", [-1 + 0j, 0.282 + 0.53j])
 def test_render_is_byte_identical_to_the_oracle(monkeypatch, theta_v, q, c):
     lam = build(1, q, theta_v, 6)
     for annulus in (None, 0):
         new = render_puzzle(c, lam, 1, highlight_annulus=annulus)
+        fans = []
         with monkeypatch.context() as m:
-            m.setattr(g, "trace_rays", oracle_fan)
+            m.setattr(g, "trace_rays", lambda *a, **k: fans.append(1) or oracle_fan(*a, **k))
             old = render_puzzle(c, lam, 1, highlight_annulus=annulus)
         assert new == old
+        assert len(fans) == 3  # the ring, the arc samples, the bounding rays: all via the oracle
+
+
+@FIXTURES
+@pytest.mark.parametrize("c", [-1 + 0j, 0.282 + 0.53j])
+def test_render_is_byte_identical_to_the_per_piece_oracle(theta_v, q, c):
+    lam = build(1, q, theta_v, 6)
+    for level in (0, 1, 2):
+        for annulus in (None, 0):
+            assert (render_puzzle(c, lam, level, highlight_annulus=annulus)
+                    == render_oracle.render_puzzle(c, lam, level, highlight_annulus=annulus))
+
+
+@FIXTURES
+def test_piece_diameters_equal_the_per_piece_oracle(theta_v, q):
+    lam = build(1, q, theta_v, 6)
+    for level in (0, 2):
+        assert g.piece_diameters(-1, lam, level) == render_oracle.piece_diameters(-1, lam, level)
+
+
+def _render_work(monkeypatch, render, lam, level):
+    """The (theta, pot_hi, pot_lo) windows traced and the connectedness checks
+    run while drawing one figure."""
+    windows, checks = [], []
+    continue_ray, check_connected = g._continue_ray, g.check_connected
+    with monkeypatch.context() as m:
+        m.setattr(g, "_continue_ray", lambda c, theta, hi, lo, cfg:
+                  windows.append((theta, hi, lo)) or continue_ray(c, theta, hi, lo, cfg))
+        m.setattr(g, "check_connected", lambda c: checks.append(c) or check_connected(c))
+        render(-1, lam, level, highlight_annulus=0)
+    return windows, len(checks)
+
+
+@FIXTURES
+def test_render_traces_each_window_once(monkeypatch, theta_v, q):
+    """The equipotential ring, the arc samples and the bounding rays (alpha
+    cycle and annulus outlines included) are three fans, whatever the level."""
+    lam = build(1, q, theta_v, 6)
+    for level in (0, 1, 2):
+        windows, checks = _render_work(monkeypatch, render_puzzle, lam, level)
+        assert len(windows) == len(set(windows)) and checks == 3
+    windows, checks = _render_work(monkeypatch, render_oracle.render_puzzle, lam, 1)
+    assert len(windows) > len(set(windows)) and checks > 3  # what the counts guard against
 
 
 def test_slice_embedding_rows_equal_the_oracle(monkeypatch):
