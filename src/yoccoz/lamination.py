@@ -14,8 +14,9 @@ only if the critical leaf separates u and w.  Rational orbits are eventually
 periodic, so L(c, theta_v) on the critical-value orbit is one
 shortest-path search at build time, and L against any other orbit one
 backward pass capped at the query level: no recursion, no memo, any level
-(2^40 polygons cannot be stored).  Tests cross-check the queries against the
-stored lists.
+(2^40 polygons cannot be stored).  Images of the critical piece
+(``critical_image``) are answered from ``critical_leaf_levels`` by orbit
+index.  Tests cross-check the queries against the stored lists.
 """
 
 from __future__ import annotations
@@ -318,10 +319,6 @@ class Lamination:
     def _separation(self, level: int, u: Angle, w: Angle):
         """min(L(u, w), level + 1)."""
         cap = level + 1
-        if u == self.critical_leaf[0]:
-            u, w = w, u
-        if w == self.critical_leaf[0] and (u.num, u.den) in self._orbit_index:
-            return min(self.critical_leaf_levels[self._orbit_index[(u.num, u.den)]], cap)
         # walk the pair's orbits to their first sector split; every leaf
         # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
         flips, stop = [], cap
@@ -390,6 +387,30 @@ class Lamination:
     def gap_is_critical(self, level: int, theta: Angle) -> bool:
         """The level gap of theta contains the critical leaf."""
         return self.same_gap(level, theta, self.critical_leaf[0])
+
+    def orbit_slot(self, k: int) -> int | None:
+        """Index of c_k = 2^k theta_v in critical_orbit, or None when c_k is a
+        cycle angle (late landing, k >= entry_step)."""
+        n = len(self._succ)
+        if k < n:
+            return k
+        s = self._succ[-1]
+        return None if s is None else s + (k - s) % (n - s)
+
+    def critical_image(self, m: int, j: int) -> bool:
+        """f^j(P_m(0)) is the critical piece of level m - j: for j >= 1 the
+        level-(m - j) gap of c_{j-1} holds the critical leaf, which its stored
+        leaf level answers.  Guards as same_gap(m - j, c_{j-1}, leaf) does."""
+        if j == 0:
+            return True
+        level, k = m - j, j - 1
+        self.guard_level(level)
+        slot, e = self.orbit_slot(k), self.entry_step
+        if slot is None:
+            raise YoccozError(f"{double(self.critical_orbit[-1], k + 1 - e)} is a cycle angle")
+        if e is not None and k + level >= e:
+            raise Case1DegenerateError(e)
+        return self.critical_leaf_levels[slot] > level
 
     def orbit_leaf_levels(self, theta: Angle, n: int) -> list:
         """min(L(2^j theta, leaf), n + 1 - j) for j = 0..n: the level-m gap of

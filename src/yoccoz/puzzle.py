@@ -2,8 +2,9 @@
 their descendants, and rise-and-drop sequence analytics.
 
 A piece is identified by its level and circle trace (boundary arcs).  All
-predicates reduce to separation levels of the lamination (Lamination.same_gap
-and the leaf levels of an orbit), so they work at any level without
+predicates reduce to separation levels of the lamination (Lamination.same_gap,
+the leaf levels of an orbit, and Lamination.critical_image for the images of
+the critical piece), so they work at any level without
 recursion; the "piece of 0" is the gap holding the critical leaf, per the
 design decision that every test point here is an angle or the leaf.
 """
@@ -44,13 +45,14 @@ class PieceRef:
         return f"P_{self.level}[{arcs}]"
 
 
-def _query_angle(lam: Lamination, theta) -> Angle:
+def query_angle(lam: Lamination, theta) -> Angle:
+    """The angle that stands for theta in gap queries: the leaf end for CRITICAL."""
     return lam.critical_leaf[0] if theta == CRITICAL else theta
 
 
 def piece_of(lam: Lamination, level: int, theta) -> PieceRef:
     """The level-n gap containing theta (or the critical leaf for CRITICAL)."""
-    t = _query_angle(lam, theta)
+    t = query_angle(lam, theta)
     if lam.is_vertex(t, level):
         raise OnBoundaryError(f"{t} is a polygon vertex at depth <= {level}")
     return PieceRef(level=level, boundary=lam.trace(level, t), probe=t)
@@ -109,17 +111,6 @@ def _orbit_guard(lam: Lamination, theta, n: int):
         return
     if lam.is_vertex(theta, n):
         raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n} steps")
-
-
-def _image_is_critical(lam: Lamination, theta, n: int, j: int) -> bool:
-    """Is the j-fold image of P_n(theta) the critical piece of level n-j?"""
-    if theta == CRITICAL:
-        if j == 0:
-            return True
-        psi = double(lam.theta_v, j - 1)
-    else:
-        psi = double(theta, j)
-    return lam.gap_is_critical(n - j, psi)
 
 
 def tau(lam: Lamination, n: int, theta) -> int:
@@ -187,15 +178,15 @@ def descendant_check(lam: Lamination, m: int, n: int) -> tuple[bool, int]:
         raise ValueError("need m > n")
     passes = 0
     for j in range(m - n):
-        outer_crit = _image_is_critical(lam, CRITICAL, m, j)
-        inner_crit = _image_is_critical(lam, CRITICAL, m + 1, j)
+        outer_crit = lam.critical_image(m, j)
+        inner_crit = lam.critical_image(m + 1, j)
         if outer_crit:
             if not inner_crit:
                 return False, 0
             passes += 1
-    if not _image_is_critical(lam, CRITICAL, m, m - n):
+    if not lam.critical_image(m, m - n):
         return False, 0
-    if not _image_is_critical(lam, CRITICAL, m + 1, m - n):
+    if not lam.critical_image(m + 1, m - n):
         return False, 0
     return True, 1 << passes
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import Angle, double, from_fraction
+from .angles import Angle, from_fraction
 from .lamination import Lamination
-from .puzzle import CRITICAL, _image_is_critical
 
 
 @dataclass(frozen=True)
@@ -29,16 +28,16 @@ class RenormReport:
 
 
 def _returns_forever(lam: Lamination, n: int, k: int) -> bool:
-    """f^{tn}(0) in P_{k+n}(0) for all t >= 1: psi_t = 2^{tn-1} theta_v is
-    eventually periodic in t, so the walk ends when a psi repeats."""
-    h = lam.critical_leaf[0]
+    """f^{tn}(0) in P_{k+n}(0) for all t >= 1: the orbit slot of
+    c_{tn-1} = 2^{tn-1} theta_v is eventually periodic in t, so the walk ends
+    when a slot repeats."""
     seen = set()
-    psi = double(lam.theta_v, n - 1)
-    while psi not in seen:
-        if not lam.same_gap(k + n, psi, h):
+    t = 1
+    while (slot := lam.orbit_slot(t * n - 1)) not in seen:
+        if not lam.critical_image(k + n + t * n, t * n):
             return False
-        seen.add(psi)
-        psi = double(psi, n)
+        seen.add(slot)
+        t += 1
     return True
 
 
@@ -47,9 +46,9 @@ def detect(lam: Lamination, budget: int) -> RenormReport:
     f^n: P_{k+n}(0) -> P_k(0) with the critical orbit returning forever."""
     for n in range(2, budget + 1):
         for k in range(0, budget + 1):
-            if not _image_is_critical(lam, CRITICAL, k + n, n):
+            if not lam.critical_image(k + n, n):
                 continue
-            if any(_image_is_critical(lam, CRITICAL, k + n, j) for j in range(1, n)):
+            if any(lam.critical_image(k + n, j) for j in range(1, n)):
                 continue  # a deeper k may shed the extra critical pass
             if not _returns_forever(lam, n, k):
                 continue

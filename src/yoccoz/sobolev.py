@@ -24,7 +24,6 @@ class GridFunction:
     h: float
     origin: tuple[float, float]
     values: np.ndarray  # (ny, nx)
-    mask: np.ndarray | None = None  # active edges derive from this cell mask
     cut_x_edges: np.ndarray | None = None  # bool (ny, nx-1): insulated edges
 
 
@@ -56,9 +55,6 @@ def dirichlet_norm(u: GridFunction) -> float:
     wx[0, :] = wx[-1, :] = 0.5
     wy = np.ones((ny - 1, nx))
     wy[:, 0] = wy[:, -1] = 0.5
-    if u.mask is not None:
-        wx *= u.mask[:, :-1] & u.mask[:, 1:]
-        wy *= u.mask[:-1, :] & u.mask[1:, :]
     if u.cut_x_edges is not None:
         wx *= ~u.cut_x_edges
     return float((np.diff(v, axis=1) ** 2 * wx).sum() + (np.diff(v, axis=0) ** 2 * wy).sum())
@@ -308,7 +304,6 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
             skipped += 1
             continue
         f = f / math.sqrt(e)
-        gf = GridFunction(h=h, origin=(-T, 0.0), values=f, cut_x_edges=cut)
 
         f0 = BoundaryFn(xs, f[0, :], float(f[0, 0]), float(f[0, -1]))
         f1 = BoundaryFn(xs, f[-1, :], float(f[-1, 0]), float(f[-1, -1]))

@@ -17,11 +17,11 @@ from .lamination import Lamination, cycle_entry_step
 from .puzzle import (
     CRITICAL,
     PieceRef,
-    _query_angle,
     descendant_check,
     first_nondegenerate,
     fraternal_descendants,
     is_critical,
+    query_angle,
     sub_pieces,
     tau,
     tau_sequence,
@@ -246,9 +246,9 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
         counts[str(e.theta)] = cc
 
     for i, e1 in enumerate(cert.entries):
-        z = _query_angle(lam, e1.theta)
+        z = query_angle(lam, e1.theta)
         for e2 in cert.entries[i + 1:]:
-            w = _query_angle(lam, e2.theta)
+            w = query_angle(lam, e2.theta)
             if z == w:
                 continue
             for a1 in e1.annuli:
@@ -271,14 +271,14 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
 
     # Lemma burp: no listed annulus closure contains a certified residual angle.
     for e1 in cert.entries:
+        z = query_angle(lam, e1.theta)
         for e2 in cert.entries:
             if e1 is e2:
                 continue
-            w = _query_angle(lam, e2.theta)
+            w = query_angle(lam, e2.theta)
+            if z == w:
+                continue
             for a in e1.annuli:
-                z = _query_angle(lam, e1.theta)
-                if z == w:
-                    continue
                 if lam.same_gap(a.n, z, w) and not lam.same_gap(a.n + 1, z, w):
                     violations.append(
                         f"closure of A_{a.n}({e1.theta}) contains certified angle {e2.theta}"

@@ -1,5 +1,6 @@
-"""Static hygiene of the package: no module imports a name it never uses,
-and every private function is referenced somewhere in the package."""
+"""Static hygiene of the package: no module imports a name it never uses or
+a private name of another package module, and every private function is
+referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -29,6 +30,22 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """_x names (dunders excluded) imported from package modules, relative or
+    through ``yoccoz``."""
+    return [f"{'.' * node.level}{node.module or ''}.{alias.name} (line {node.lineno})"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "yoccoz")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == []
 
 
 def _private_defs(tree: ast.Module) -> list[tuple[str, int]]:

@@ -186,7 +186,7 @@ def test_lemma_drop_nature(lam3):
             b, a = seq[n], seq[n + 1]
             if 1 <= a <= b:
                 # (b - (a-1))-fold image of P_b(0) is P_{a-1}(0)
-                assert pz._image_is_critical(lam3, pz.CRITICAL, b, b - (a - 1))
+                assert lam3.critical_image(b, b - (a - 1))
                 checked += 1
     assert checked > 10
 
@@ -235,7 +235,7 @@ def test_lemma_getdesc(lam3):
     k = 9
     desc_levels = {m for m, _ in pz.descendant_levels(lam3, CASE3_N, 40)} | {CASE3_N}
     for n in (11, 14, 20):
-        assert pz._image_is_critical(lam3, pz.CRITICAL, n + k, k)  # the return
+        assert lam3.critical_image(n + k, k)  # the return
         for l in sorted(d for d in desc_levels if d < n):
             found = None
             for t in range(n, n + k):
