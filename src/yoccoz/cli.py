@@ -185,12 +185,17 @@ def cmd_certify(args, cfg):
     from .tiling import build_certificate, verify_certificate
 
     lam = _load_lam(args.lam)
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     N = first_nondegenerate(lam, cfg.search_budget)
     fr = fraternal_descendants(lam, N, cfg.search_budget)
     thetas = [CRITICAL]
     if args.samples > 1:
-        thetas += _residual_samples(lam, max(fr) + 4, max(fr) + 3, args.depth,
-                                    args.samples - 1, cfg.seed)
+        p = max(fr) + 4
+        if args.depth < p:  # residual_member refuses it, and _residual_samples swallows that
+            raise ValueError(f"certify --depth {args.depth} tests no residual sample: "
+                             f"it must be >= p = {p}, the level of the sampled piece")
+        thetas += _residual_samples(lam, p, p - 1, args.depth, args.samples - 1, cfg.seed)
     cert = build_certificate(lam, N, fr, thetas, args.depth)
     rep = verify_certificate(lam, cert)
     _emit(_report(cfg, base_level=N, fraternal=list(fr), depth=args.depth,

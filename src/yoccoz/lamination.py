@@ -14,7 +14,11 @@ only if the critical leaf separates u and w.  Rational orbits are eventually
 periodic, so L(c, theta_v) on the critical-value orbit is one
 shortest-path search at build time, and L against any other orbit one
 backward pass capped at the query level: no recursion, no memo, any level
-(2^40 polygons cannot be stored).  Images of the critical piece
+(2^40 polygons cannot be stored).  A query angle gets one orbit record
+(``Lamination.orbit``): one forward walk gives the positions of its orbit and
+its first cycle angle (a vertex), and one backward pass over the critical
+orbit slots of each position's sector gives the capped levels, which answer
+every level up to the record's.  Images of the critical piece
 (``critical_image``) are answered from ``critical_leaf_levels`` by orbit
 index.  Tests cross-check the queries against the stored lists.
 """
@@ -27,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from fractions import Fraction
 
 from .angles import Angle, ArcPosition, double, from_fraction, in_arc, normalize
@@ -88,12 +93,9 @@ def cycle_entry_step(theta: Angle, cycle: frozenset[Angle]) -> int | None:
     return None
 
 
-def _double(num: int, den: int) -> tuple[int, int]:
-    """Doubling on a reduced num/den; the result is reduced without a gcd."""
-    if den % 2 == 0:
-        den //= 2
-        return num % den, den
-    return 2 * num % den, den
+def _two_adic(n: int) -> int:
+    """The exponent of 2 in n > 0."""
+    return (n & -n).bit_length() - 1
 
 
 Arc = tuple[Angle, Angle]  # open ccw arc (start, end)
@@ -137,6 +139,26 @@ class SliceData:
     q: int
 
 
+@dataclass(frozen=True, slots=True)
+class Orbit:
+    """The orbit record of a query angle to ``level`` (Lamination.orbit)."""
+
+    theta: Angle
+    level: int
+    hit: int | None  # least m <= level with 2^m theta a cycle angle (a vertex), else None
+    pos: list[tuple[int, int]]  # (sector, leaf side) of 2^m theta for m = 0..level, up to the hit
+    to_value: list  # min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1; [] on a hit
+    leaf: list  # min(L(2^m theta, leaf), level + 1 - m) for m = 0..level; [] on a hit
+    cells: int  # row cells the backward pass visited
+
+
+def _off_cycle(rec: Orbit) -> Orbit:
+    """The record, if its orbit misses the alpha cycle up to its level."""
+    if rec.hit is not None:
+        raise YoccozError(f"{double(rec.theta, rec.hit)} is a cycle angle")
+    return rec
+
+
 class RayPairRelation(enum.Enum):
     EQUIVALENT = "equivalent"
     NOT_EQUIVALENT = "not-equivalent-to-depth"
@@ -156,22 +178,14 @@ class Lamination:
         self.depth = depth
         cyc = alpha_cycle(p, q)
         self.cycle = tuple(cyc)
-        self.cycle_set = frozenset(cyc)
-        self._cycle_pairs = frozenset((a.num, a.den) for a in cyc)
         full = (1 << q) - 1
         self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
+        self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
 
-        # The critical-value orbit c_k = 2^k theta_v up to its first repeat or
-        # its first cycle angle (late landing), as (num, den) pairs.
-        orbit: list[tuple[int, int]] = []
-        self._orbit_index: dict[tuple[int, int], int] = {}
-        x = (theta_v.num, theta_v.den)
-        while x not in self._orbit_index and x not in self._cycle_pairs:
-            self._orbit_index[x] = len(orbit)
-            orbit.append(x)
-            x = _double(*x)
+        orbit, self._orbit_pos, last = self._critical_value_orbit()
+        self._orbit_pairs = orbit
         # Degeneracy must win over the sector test (the 1/6 example is case 1).
-        self.entry_step = len(orbit) if x in self._cycle_pairs else None
+        self.entry_step = len(orbit) if last is None else None
         if self.entry_step is not None and self.entry_step <= depth:
             raise Case1DegenerateError(self.entry_step)
 
@@ -181,26 +195,85 @@ class Lamination:
                 f"theta_v={theta_v} is not strictly inside the critical-value sector "
                 f"({self.sector[0]}, {self.sector[1]})"
             )
-        self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
 
         # layers[j]: the depth-j polygons as sorted numerators over layer_den(j)
         self.layers: list[list[tuple[int, ...]]] = [[tuple(self._cycle_nums)]]
         for j in range(depth):
             self.layers.append(self._split(self.layers[j], j))
 
-        self.critical_orbit = tuple(Angle(*c) for c in orbit)
-        self._succ = list(range(1, len(orbit))) + [self._orbit_index.get(x)]
-        self._orbit_pos = [self._position(*c) for c in orbit]
+        self._succ = list(range(1, len(orbit))) + [last]
         self._to_value = self._critical_values()
         h = self.critical_leaf[0]
-        self._leaf_sector = self._position(h.num, h.den)[0]
+        self._leaf_sector = next(self._points(h.num, h.den))[1][0]
         # L(c_k, leaf) = 1 + L(c_{k+1}, theta_v) inside the leaf's sector
         self.critical_leaf_levels = tuple(
             0 if s != self._leaf_sector else 1 + (NEVER if t is None else self._to_value[t])
             for (s, _), t in zip(self._orbit_pos, self._succ)
         )
+        # (sector, side) -> the orbit slots k in that sector, and for each the
+        # pair (successor, side differs); a cycle-angle successor is the
+        # sentinel slot len(_succ)
+        live: dict[tuple[int, int], tuple[list, list]] = {}
+        for k, ((s, d), t) in enumerate(zip(self._orbit_pos, self._succ)):
+            for side in (0, 1):
+                slots, steps = live.setdefault((s, side), ([], []))
+                slots.append(k)
+                steps.append((len(orbit) if t is None else t, d != side))
+        self._live = {key: (tuple(slots), tuple(steps)) for key, (slots, steps) in live.items()}
 
     # ------------------------------------------------------------------ build
+
+    def _critical_value_orbit(self):
+        """The critical-value orbit c_k = 2^k theta_v up to its first repeat or
+        its first cycle angle (late landing): reduced (num, den) pairs, their
+        positions, and the slot that the last point doubles to (None: a cycle
+        angle).  Over D = 2^a b (b odd), the denominator of theta_v, c_k is
+        x_k / D reduced by 2^min(k, a)."""
+        D = self.theta_v.den
+        a = _two_adic(D)
+        orbit, pos = [], []
+        for k, (x, where) in enumerate(self._orbit_points(self.theta_v.num, D)):
+            if where is None:
+                return orbit, pos, None
+            j = min(k, a)
+            orbit.append((x >> j, D >> j))
+            pos.append(where)
+        return orbit, pos, a
+
+    def _points(self, num: int, den: int):
+        """The orbit of num/den under doubling, as (x, position) for its points
+        x/den, x = 2^m num mod den, m = 0, 1, ...; the position is (level-0
+        sector, leaf side), or None at a cycle angle.  Over one denominator a
+        doubling is a shift and a subtraction, x/den lies past the cycle angle
+        c/(2^q - 1) iff c den < x (2^q - 1), a bisection over thresholds set
+        once, and inside the leaf arc (h, h + 1/2) iff lo < x and 2x < hi for
+        the integer bounds lo = floor(h den) and hi = ceil((2h + 1) den)."""
+        q, h = self.q, self.critical_leaf[0]
+        thresholds = [c * den for c in self._cycle_nums]
+        lo, hi = h.num * den // h.den, -(-(2 * h.num + h.den) * den // h.den)
+        x = num
+        while True:
+            v = (x << q) - x
+            i = bisect_left(thresholds, v)
+            if i < q and thresholds[i] == v:
+                yield x, None
+            else:
+                yield x, ((i - 1) % q, 0 if lo < x and 2 * x < hi else 1)
+            x *= 2
+            if x >= den:
+                x -= den
+
+    def _orbit_points(self, num: int, den: int):
+        """_points up to the first repeat.  Only the x_m with m >= a
+        (den = 2^a b, b odd) are multiples of 2^a, and doubling permutes them,
+        so the first point to come back is x_a."""
+        a = _two_adic(den)
+        for m, point in enumerate(self._points(num, den)):
+            if m == a:
+                start = point[0]
+            elif m > a and point[0] == start:
+                return
+            yield point
 
     def _critical_value_sector(self) -> Arc:
         """The shortest sector, by the numerator gaps over D_0."""
@@ -229,6 +302,16 @@ class Lamination:
             out.append(verts[k:] + tuple(n + den for n in verts[:k]))
             out.append(verts[:k] + tuple(n + den for n in verts[k:]))
         return out
+
+    @cached_property
+    def critical_orbit(self) -> tuple[Angle, ...]:
+        """The orbit points c_k as reduced angles, built on first read."""
+        return tuple(Angle(*c) for c in self._orbit_pairs)
+
+    @cached_property
+    def _orbit_index(self) -> dict[tuple[int, int], int]:
+        """(num, den) of c_k -> k, built on the first late-landing guard."""
+        return {x: k for k, x in enumerate(self._orbit_pairs)}
 
     @cached_property
     def polygons(self) -> list[list[Polygon]]:
@@ -270,51 +353,55 @@ class Lamination:
 
     # --------------------------------------------------------------- queries
 
-    def _position(self, num: int, den: int) -> tuple[int, int]:
-        """(level-0 sector index, critical-leaf side) of the angle num/den."""
-        k, rem = divmod(num * ((1 << self.q) - 1), den)
-        nums = self._cycle_nums
-        if rem:
-            count = bisect_right(nums, k)
-        else:
-            count = bisect_left(nums, k)
-            if count < len(nums) and nums[count] == k:
-                raise YoccozError(f"{Angle(num, den)} is a cycle angle")
-        return (count - 1) % self.q, self._side(num, den)
-
     def _side(self, num: int, den: int) -> int:
         """0 strictly inside the arc (h, h + 1/2) of the critical leaf, else 1."""
         h = self.critical_leaf[0]
         inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
         return 0 if inside else 1
 
-    def _orbit_levels(self, theta: Angle, n: int) -> tuple[list[tuple[int, int]], list]:
-        """Positions of 2^m theta (m = 0..n) and min(L(2^m theta, theta_v), n + 1 - m)
-        (m = 0..n+1), by one O(n P) backward pass: the row of these values over
-        the critical orbit at m follows from the row at m + 1, and is zero past n."""
-        pos, x = [], (theta.num, theta.den)
-        for _ in range(n + 1):
-            pos.append(self._position(*x))
-            x = _double(*x)
-        orbit_pos, succ = self._orbit_pos, self._succ
-        row = [0] * len(succ)
-        out = [0] * (n + 2)
-        for m in range(n, -1, -1):
-            cap = n + 1 - m
-            s, d = pos[m]
+    def orbit(self, theta: Angle, level: int) -> Orbit:
+        """The orbit record of theta to ``level``: one forward walk to its
+        first cycle angle and, if it meets none, one backward pass.  Its capped
+        values answer every level m <= level too: min(L, m + 1 - k) equals
+        min(min(L, level + 1 - k), m + 1 - k)."""
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        pos = []
+        for m, (_, where) in zip(range(level + 1), self._points(theta.num, theta.den)):
+            if where is None:
+                return Orbit(theta, level, m, pos, [], [], 0)
+            pos.append(where)
+        to_value, cells = self._backward(pos, level)
+        leaf = [0 if s != self._leaf_sector else 1 + to_value[m + 1]
+                for m, (s, _) in enumerate(pos)]
+        return Orbit(theta, level, None, pos, to_value, leaf, cells)
+
+    def _backward(self, pos, level: int) -> tuple[list, int]:
+        """min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1, and the
+        row cells visited.  The row at m holds min(L(2^m theta, c_k), cap) over
+        the orbit slots k; it is zero outside the sector of 2^m theta and follows
+        from the row at m + 1, so a step touches only that sector's slots.  The
+        sentinel slot holds the cap of the row above: its values never exceed
+        it, so v + 1 needs no further cap."""
+        live, sentinel, none = self._live, len(self._succ), ((), ())
+        row = [0] * (sentinel + 1)
+        out = [0] * (level + 2)
+        prev: tuple = ()
+        cells = 0
+        for m in range(level, -1, -1):
+            row[sentinel] = level - m
             to_value = row[0]
-            new = []
-            for (ks, kd), t in zip(orbit_pos, succ):
-                if ks != s:
-                    new.append(0)
-                    continue
-                v = cap if t is None else row[t]
-                if kd != d and to_value < v:
-                    v = to_value
-                new.append(min(v + 1, cap))
-            row = new
+            slots, steps = live.get(pos[m], none)
+            new = [(to_value if differs and to_value < row[t] else row[t]) + 1
+                   for t, differs in steps]
+            for k in prev:
+                row[k] = 0
+            for k, v in zip(slots, new):
+                row[k] = v
+            prev = slots
             out[m] = row[0]
-        return pos, out
+            cells += len(slots)
+        return out, cells
 
     def _separation(self, level: int, u: Angle, w: Angle):
         """min(L(u, w), level + 1)."""
@@ -322,35 +409,33 @@ class Lamination:
         # walk the pair's orbits to their first sector split; every leaf
         # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
         flips, stop = [], cap
-        x, y = (u.num, u.den), (w.num, w.den)
-        for j in range(cap):
-            if x == y:
+        pair = zip(range(cap), self._points(u.num, u.den), self._points(w.num, w.den))
+        for j, (x, at_u), (y, at_w) in pair:
+            if x * w.den == y * u.den:
                 break
-            (su, du), (sw, dw) = self._position(*x), self._position(*y)
-            if su != sw:
+            for z, den, where in ((x, u.den, at_u), (y, w.den, at_w)):
+                if where is None:
+                    raise YoccozError(f"{normalize(z, den)} is a cycle angle")
+            if at_u[0] != at_w[0]:
                 stop = j
                 break
-            if du != dw:
+            if at_u[1] != at_w[1]:
                 flips.append(j)
-            x, y = _double(*x), _double(*y)
         if not flips:
             return stop
-        r = self._orbit_levels(u, level)[1]
+        r = _off_cycle(self.orbit(u, level)).to_value
         return min(stop, min(j + 1 + r[j + 1] for j in flips))
 
     def vertex_entry_step(self, theta: Angle) -> int | None:
         """Least depth at which theta is a polygon vertex (None: never)."""
-        return cycle_entry_step(theta, self.cycle_set)
+        points = self._orbit_points(theta.num, theta.den)
+        return next((m for m, (_, where) in enumerate(points) if where is None), None)
 
     def is_vertex(self, theta: Angle, level: int) -> bool:
         """Bounded walk: theta is a depth <= level vertex iff its orbit meets
         the cycle within `level` doublings (no full-orbit scan needed)."""
-        x = (theta.num, theta.den)
-        for _ in range(level + 1):
-            if x in self._cycle_pairs:
-                return True
-            x = _double(*x)
-        return False
+        points = islice(self._points(theta.num, theta.den), level + 1)
+        return any(where is None for _, where in points)
 
     def guard_level(self, level: int, *angles: Angle):
         """Late landing: theta_v meets the cycle after entry_step doublings, so
@@ -412,12 +497,6 @@ class Lamination:
             raise Case1DegenerateError(e)
         return self.critical_leaf_levels[slot] > level
 
-    def orbit_leaf_levels(self, theta: Angle, n: int) -> list:
-        """min(L(2^j theta, leaf), n + 1 - j) for j = 0..n: the level-m gap of
-        2^j theta is critical iff the j-th entry exceeds m (for m <= n - j)."""
-        pos, r = self._orbit_levels(theta, n)
-        return [0 if pos[j][0] != self._leaf_sector else 1 + r[j + 1] for j in range(n + 1)]
-
     def _pull_back(self, arcs, side: int | None) -> tuple[Arc, ...]:
         """Preimage arcs of a gap trace, kept on one side of the leaf unless
         the image gap holds theta_v (then the preimage is one gap).  If it does
@@ -428,13 +507,15 @@ class Lamination:
             halves = [arc for arc in halves if self._leaf_side(arc[0]) == side]
         return tuple(sorted(halves))
 
-    def trace(self, level: int, theta: Angle) -> tuple[Arc, ...]:
+    def trace(self, level: int, theta: Angle, orbit: Orbit | None = None) -> tuple[Arc, ...]:
         """Circle trace (boundary arcs) of the level gap containing theta:
-        the sector of 2^level theta, pulled back along the orbit."""
+        the sector of 2^level theta, pulled back along the orbit (``orbit``:
+        theta's record to this level, if the caller has it)."""
         self.guard_level(level, theta)
-        if self.is_vertex(theta, level):
+        rec = self.orbit(theta, level) if orbit is None else orbit
+        if rec.hit is not None:
             raise YoccozError(f"{theta} is a vertex at depth <= {level}")
-        pos, r = self._orbit_levels(theta, level)
+        pos, r = rec.pos, rec.to_value
         arcs: tuple[Arc, ...] = (self._sector_arc(pos[level][0]),)
         for m in range(level - 1, -1, -1):
             arcs = self._pull_back(arcs, None if r[m + 1] >= level - m else pos[m][1])
@@ -469,7 +550,8 @@ class Lamination:
     def polygons_inside(self, level: int, theta: Angle) -> list[tuple[Angle, ...]]:
         """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
         self.guard_level(level + 1, theta)
-        pos, r = self._orbit_levels(theta, level)
+        rec = _off_cycle(self.orbit(theta, level))
+        pos, r = rec.pos, rec.to_value
         s = pos[level][0]  # the open sector (c_s, c_{s+1}), over D_1 = 2 D_0
         lo, hi = 2 * self._cycle_nums[s], 2 * self._cycle_nums[(s + 1) % self.q]
         polys = [verts for verts in self._split(self.layers[0], 0)

@@ -3,8 +3,8 @@ their descendants, and rise-and-drop sequence analytics.
 
 A piece is identified by its level and circle trace (boundary arcs).  All
 predicates reduce to separation levels of the lamination (Lamination.same_gap,
-the leaf levels of an orbit, and Lamination.critical_image for the images of
-the critical piece), so they work at any level without
+the leaf levels of an orbit record, and Lamination.critical_image for the
+images of the critical piece), so they work at any level without
 recursion; the "piece of 0" is the gap holding the critical leaf, per the
 design decision that every test point here is an angle or the leaf.
 """
@@ -22,7 +22,7 @@ from .errors import (
     OnBoundaryError,
     OrbitHitsAlphaError,
 )
-from .lamination import Arc, Lamination, arc_contains
+from .lamination import Arc, Lamination, Orbit, arc_contains
 
 CRITICAL = "CRITICAL"  # sentinel query point: the critical leaf
 HALF = Fraction(1, 2)  # arc_point(a, b, HALF) is the midpoint of the ccw arc (a, b)
@@ -53,9 +53,10 @@ def query_angle(lam: Lamination, theta) -> Angle:
 def piece_of(lam: Lamination, level: int, theta) -> PieceRef:
     """The level-n gap containing theta (or the critical leaf for CRITICAL)."""
     t = query_angle(lam, theta)
-    if lam.is_vertex(t, level):
+    rec = lam.orbit(t, level)
+    if rec.hit is not None:
         raise OnBoundaryError(f"{t} is a polygon vertex at depth <= {level}")
-    return PieceRef(level=level, boundary=lam.trace(level, t), probe=t)
+    return PieceRef(level=level, boundary=lam.trace(level, t, rec), probe=t)
 
 
 def critical_piece(lam: Lamination, level: int) -> PieceRef:
@@ -104,13 +105,12 @@ def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
 # ------------------------------------------------------------------ tau
 
 
-def _orbit_guard(lam: Lamination, theta, n: int):
-    """piece_of must be defined along the forward orbit up to n: equivalent
-    to the orbit of theta missing the alpha cycle for n doublings."""
-    if theta == CRITICAL:
-        return
-    if lam.is_vertex(theta, n):
-        raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n} steps")
+def _orbit_guard(rec: Orbit):
+    """piece_of must be defined along the forward orbit up to the record's
+    level: equivalent to the orbit missing the alpha cycle that long."""
+    if rec.hit is not None:
+        raise OrbitHitsAlphaError(
+            f"the orbit of {rec.theta} meets the alpha cycle within {rec.level} steps")
 
 
 def tau(lam: Lamination, n: int, theta) -> int:
@@ -118,17 +118,22 @@ def tau(lam: Lamination, n: int, theta) -> int:
     return tau_sequence(lam, theta, n)[-1]
 
 
-def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int]:
+def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0,
+                 orbit: Orbit | None = None) -> list[int]:
     """tau along n = start..n_max in closed form from the leaf levels
-    l_j = L(2^j theta, leaf): tau(n) = n - min{j <= n : l_j + j > n}.
+    l_j = L(2^j theta, leaf) of theta's orbit record to n_max (``orbit``, if
+    the caller has it): tau(n) = n - min{j <= n : l_j + j > n}.
 
     The least such j never decreases with n, so one pointer walks the orbit
     once.  The level n - j it tests first is the highest it reads, and it
     must exist in a late-landing lamination (guard_level)."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     if theta == CRITICAL:
         return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
-    _orbit_guard(lam, theta, n_max)
-    reach = [j + lv for j, lv in enumerate(lam.orbit_leaf_levels(theta, n_max))]
+    rec = lam.orbit(theta, n_max) if orbit is None else orbit
+    _orbit_guard(rec)
+    reach = [j + lv for j, lv in enumerate(rec.leaf)]
     values: list[int] = []
     j = 0
     for n in range(start, n_max + 1):

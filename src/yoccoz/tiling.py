@@ -161,13 +161,21 @@ class ResidualStatus(enum.Enum):
 
 
 def residual_member(lam: Lamination, theta, p: int, L: int, depth: int) -> ResidualStatus:
-    """R-membership to evidence depth: notR as soon as tau drops to L."""
+    """R-membership to evidence depth: notR as soon as tau drops to L.  One
+    orbit record to depth answers the vertex test, membership in the level-p
+    critical piece (its leaf level at 0 exceeds p) and tau."""
+    if depth < p:
+        raise ValueError(f"depth {depth} tests no tau value of the level-{p} piece: "
+                         f"it must be >= p = {p}")
+    rec = None
     if theta != CRITICAL:
-        if lam.is_vertex(theta, depth):
+        rec = lam.orbit(theta, depth)
+        if rec.hit is not None:
             return ResidualStatus.ORBIT_HITS_ALPHA
-        if not lam.same_gap(p, theta, lam.critical_leaf[0]):
+        lam.guard_level(p, theta, lam.critical_leaf[0])
+        if rec.leaf[0] <= p:
             raise ValueError(f"{theta} is not in the level-{p} critical piece")
-    taus = tau_sequence(lam, theta, depth, start=p)
+    taus = tau_sequence(lam, theta, depth, start=p, orbit=rec)
     if any(t <= L for t in taus):
         return ResidualStatus.NOT_R
     return ResidualStatus.IN_R_TO_DEPTH

@@ -5,13 +5,15 @@ vertex with ``normalize`` and sorting each side of the critical leaf.  The
 constructor's checks (late landing, then the sector) run in the same order as
 the library's, so both raise the same errors.  ``polygons_inside`` and
 ``vertex_class`` are the matching Angle-based pullbacks; they borrow the
-library lamination's orbit-level and guard helpers, which the integer layers
-did not change.
+library lamination's guard helpers, which the integer layers did not change,
+and the whole-orbit level pass of ``orbit_record_oracle``.
 """
 
 from yoccoz.angles import ArcPosition, Angle, arc_length, double, in_arc, normalize
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError
 from yoccoz.lamination import Polygon, alpha_cycle, arc_contains
+
+from orbit_record_oracle import orbit_levels
 
 
 def _double(num, den):
@@ -84,7 +86,7 @@ class AngleLamination:
     def polygons_inside(self, lam, level, theta):
         """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
         lam.guard_level(level + 1, theta)
-        pos, r = lam._orbit_levels(theta, level)
+        pos, r = orbit_levels(lam, theta, level)
         arc = self._sector_arc(pos[level][0])
         depth1 = self.polygons[1] if self.depth >= 1 else self._split(self.polygons[0][0], 1)
         polys = [poly for poly in depth1 if all(arc_contains(arc, v) for v in poly.vertices)]

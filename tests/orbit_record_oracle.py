@@ -1,0 +1,138 @@
+"""Test oracle: the orbit queries that the one-record-per-angle path replaced.
+
+Each query walked the angle's orbit again, one reduced (num, den) pair per
+point, with a divmod per sector test: ``is_vertex`` by testing the pairs
+against the cycle, ``same_gap`` by the pair walk plus a backward pass over
+every critical-orbit slot at every level, and ``tau_sequence`` by one more
+vertex walk and one more walk and pass.  The library builds one orbit record
+per (angle, level) and answers all of them from it; the tests check that
+both agree, errors included.
+"""
+
+from bisect import bisect_left, bisect_right
+
+from yoccoz.angles import Angle
+from yoccoz.errors import OrbitHitsAlphaError, YoccozError
+from yoccoz.puzzle import CRITICAL
+from yoccoz.tiling import ResidualStatus
+
+
+def _double(num, den):
+    if den % 2 == 0:
+        den //= 2
+        return num % den, den
+    return 2 * num % den, den
+
+
+def position(lam, num, den):
+    """(level-0 sector index, critical-leaf side) of the angle num/den."""
+    k, rem = divmod(num * ((1 << lam.q) - 1), den)
+    nums = lam._cycle_nums
+    if rem:
+        count = bisect_right(nums, k)
+    else:
+        count = bisect_left(nums, k)
+        if count < len(nums) and nums[count] == k:
+            raise YoccozError(f"{Angle(num, den)} is a cycle angle")
+    h = lam.critical_leaf[0]
+    inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
+    return (count - 1) % lam.q, 0 if inside else 1
+
+
+def is_vertex(lam, theta, level):
+    cycle = {(a.num, a.den) for a in lam.cycle}
+    x = (theta.num, theta.den)
+    for _ in range(level + 1):
+        if x in cycle:
+            return True
+        x = _double(*x)
+    return False
+
+
+def orbit_levels(lam, theta, n):
+    """Positions of 2^m theta (m = 0..n) and min(L(2^m theta, theta_v), n + 1 - m)
+    (m = 0..n+1), by one O(n P) backward pass over the whole critical orbit."""
+    pos, x = [], (theta.num, theta.den)
+    for _ in range(n + 1):
+        pos.append(position(lam, *x))
+        x = _double(*x)
+    orbit_pos, succ = lam._orbit_pos, lam._succ
+    row = [0] * len(succ)
+    out = [0] * (n + 2)
+    for m in range(n, -1, -1):
+        cap = n + 1 - m
+        s, d = pos[m]
+        to_value = row[0]
+        new = []
+        for (ks, kd), t in zip(orbit_pos, succ):
+            if ks != s:
+                new.append(0)
+                continue
+            v = cap if t is None else row[t]
+            if kd != d and to_value < v:
+                v = to_value
+            new.append(min(v + 1, cap))
+        row = new
+        out[m] = row[0]
+    return pos, out
+
+
+def orbit_leaf_levels(lam, theta, n):
+    pos, r = orbit_levels(lam, theta, n)
+    return [0 if pos[j][0] != lam._leaf_sector else 1 + r[j + 1] for j in range(n + 1)]
+
+
+def separation(lam, level, u, w):
+    """min(L(u, w), level + 1)."""
+    cap = level + 1
+    flips, stop = [], cap
+    x, y = (u.num, u.den), (w.num, w.den)
+    for j in range(cap):
+        if x == y:
+            break
+        (su, du), (sw, dw) = position(lam, *x), position(lam, *y)
+        if su != sw:
+            stop = j
+            break
+        if du != dw:
+            flips.append(j)
+        x, y = _double(*x), _double(*y)
+    if not flips:
+        return stop
+    r = orbit_levels(lam, u, level)[1]
+    return min(stop, min(j + 1 + r[j + 1] for j in flips))
+
+
+def same_gap(lam, level, u, w):
+    lam.guard_level(level, u, w)
+    return separation(lam, level, u, w) > level
+
+
+def tau_sequence(lam, theta, n_max, start=0):
+    if theta == CRITICAL:
+        return list(range(start, n_max + 1))
+    if is_vertex(lam, theta, n_max):
+        raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
+    reach = [j + lv for j, lv in enumerate(orbit_leaf_levels(lam, theta, n_max))]
+    values = []
+    j = 0
+    for n in range(start, n_max + 1):
+        if j <= n:
+            lam.guard_level(n - j)
+        while j <= n and reach[j] <= n:
+            j += 1
+        values.append(n - j if j <= n else -1)
+    return values
+
+
+def residual_member(lam, theta, p, L, depth):
+    """Four walks per angle: two vertex tests, the gap query and tau's pass."""
+    if theta != CRITICAL:
+        if is_vertex(lam, theta, depth):
+            return ResidualStatus.ORBIT_HITS_ALPHA
+        if not same_gap(lam, p, theta, lam.critical_leaf[0]):
+            raise ValueError(f"{theta} is not in the level-{p} critical piece")
+    taus = tau_sequence(lam, theta, depth, start=p)
+    if any(t <= L for t in taus):
+        return ResidualStatus.NOT_R
+    return ResidualStatus.IN_R_TO_DEPTH

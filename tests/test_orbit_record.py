@@ -1,0 +1,208 @@
+"""One orbit record per query angle (Lamination.orbit) against the walks it
+replaced (tests/orbit_record_oracle.py): leaf levels, tau, residual
+membership and the certify sampler, values and errors alike."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from yoccoz import cli
+from yoccoz import tiling as tl
+from yoccoz.angles import arc_point, normalize
+from yoccoz.errors import YoccozError
+from yoccoz.lamination import build, cycle_entry_step
+from yoccoz.puzzle import CRITICAL, critical_piece, tau_sequence
+
+import orbit_record_oracle as oracle
+from fixtures import (AIRPLANE_THETA, CASE3_L, CASE3_P, CASE3_THETA, MISIUREWICZ_THETA,
+                      RESIDUAL_ANGLES, SATELLITE_THETA)
+from test_lamination_layers import late_landing
+
+LEVELS = (0, 1, 5, 16, 41, 200, 400)
+LONG_ORBIT = normalize(4003, 8009)  # a critical orbit of 4004 points
+LONG_PROBE = normalize(12345, 98303)
+
+
+def outcome(call, *args):
+    """The answer, or the error's class and message."""
+    try:
+        return call(*args)
+    except (YoccozError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def probes(lam, count, seed):
+    """The leaf end, theta_v, and random angles with odd and even denominators."""
+    rng = random.Random(seed)
+    out = [lam.critical_leaf[0], lam.theta_v]
+    while len(out) < count:
+        den = rng.randrange(5, 10**6) << rng.randrange(3)
+        num = rng.randrange(1, den)
+        if gcd(num, den) == 1:
+            out.append(normalize(num, den))
+    return out
+
+
+def assert_record_matches(lam, theta, n):
+    rec = lam.orbit(theta, n)
+    if oracle.is_vertex(lam, theta, n):
+        assert rec.hit is not None
+    else:
+        assert rec.hit is None
+        pos, to_value = oracle.orbit_levels(lam, theta, n)
+        assert (rec.pos, rec.to_value) == (pos, to_value), (theta, n)
+        assert rec.leaf == oracle.orbit_leaf_levels(lam, theta, n), (theta, n)
+    assert outcome(tau_sequence, lam, theta, n) == \
+        outcome(oracle.tau_sequence, lam, theta, n), (theta, n)
+
+
+@pytest.mark.parametrize("theta_v", [AIRPLANE_THETA, SATELLITE_THETA, MISIUREWICZ_THETA,
+                                     CASE3_THETA], ids=str)
+def test_leaf_levels_and_tau_match_on_fixtures(theta_v):
+    lam = build(1, 2, theta_v, 8)
+    for theta in probes(lam, 12, seed=11):
+        for n in LEVELS:
+            assert_record_matches(lam, theta, n)
+
+
+def test_leaf_levels_and_tau_match_on_late_landing():
+    """The last orbit point's successor is a cycle angle: the sentinel slot."""
+    for p, q in ((1, 2), (1, 3), (2, 5)):
+        for theta_v in late_landing(p, q, 9)[:2]:
+            lam = build(p, q, theta_v, 8)
+            for theta in probes(lam, 6, seed=15):
+                for n in LEVELS[:5]:
+                    assert_record_matches(lam, theta, n)
+
+
+def test_leaf_levels_and_tau_match_on_long_orbit():
+    lam = build(1, 2, LONG_ORBIT, 0)
+    assert len(lam.critical_orbit) == 4004
+    for theta in (LONG_PROBE, lam.theta_v):
+        for n in LEVELS:
+            assert_record_matches(lam, theta, n)
+
+
+def test_long_orbit_tau_pinned():
+    """The backward pass visits only the orbit slots in the sector of each
+    orbit point, fewer than (n + 1) P row cells."""
+    lam = build(1, 2, LONG_ORBIT, 0)
+    assert tau_sequence(lam, LONG_PROBE, 200) == [
+        0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 1, 2, 1, 2, 3, 4, 1, 2, 1, 2, 1, 2, 1, 2, 3, 1, 2,
+        3, 4, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 3, 4, 1, 2, 1, 2, 3, 1, 2, 3, 4, 5, 1, 2, 1, 2, 1,
+        2, 1, 2, 3, 1, 2, 1, 2, 1, 2, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 1, 2, 3, 1, 2, 1, 2, 1,
+        2, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 1, 2, 1, 2, 3, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 1, 2,
+        1, 2, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 1, 2, 3, 4, 5, 6, 1, 2, 1, 2, 1, 2,
+        3, 1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 1, 2, 1, 2, 3, 4, 1, 2, 1, 2, 1, 2, 1, 2, 3,
+        4, 5, 1, 2, 3, 4, 5, 1, 2, 3, 1, 2, 3, 1, 2, 1, 2, 1, 2, 3, 4, 5, 6, 7, 1, 2, 1]
+    rec = lam.orbit(LONG_PROBE, 200)
+    assert rec.cells == 447528 < 201 * 4004
+
+
+def test_same_gap_and_entry_step_match():
+    """The pair walk over one denominator per angle, and the first-repeat rule
+    of the vertex walk, against the reduced-pair walks: values and the
+    cycle-angle and late-landing errors alike."""
+    seen = set()
+    lams = [build(1, 2, t, 8) for t in (AIRPLANE_THETA, MISIUREWICZ_THETA, CASE3_THETA)]
+    lams += [build(p, q, t, 8) for p, q in ((1, 2), (1, 3)) for t in late_landing(p, q, 9)[:1]]
+    for lam in lams:
+        points = probes(lam, 10, seed=16)
+        points += [lam.cycle[0], normalize(lam.cycle[0].num, 2 * lam.cycle[0].den)]
+        points += list(lam.critical_orbit[:3])
+        for u in points:
+            assert lam.vertex_entry_step(u) == cycle_entry_step(u, frozenset(lam.cycle)), u
+            for w in points:
+                for level in (0, 3, 12):
+                    got = outcome(lam.same_gap, level, u, w)
+                    assert got == outcome(oracle.same_gap, lam, level, u, w), (u, w, level)
+                    seen.add(got if isinstance(got, bool) else got[0])
+    assert seen == {True, False, "YoccozError", "Case1DegenerateError"}
+
+
+def test_record_answers_lower_levels():
+    """The capped values at n answer every level m <= n."""
+    lam = build(1, 2, CASE3_THETA, 8)
+    for theta in probes(lam, 8, seed=13):
+        rec = lam.orbit(theta, 60)
+        if rec.hit is not None:
+            continue
+        for m in (0, 7, 30, 59):
+            low = lam.orbit(theta, m)
+            assert low.to_value == [min(v, m + 1 - k) for k, v in enumerate(rec.to_value[:m + 2])]
+            assert low.leaf == [min(v, m + 1 - k) for k, v in enumerate(rec.leaf[:m + 1])]
+
+
+def test_record_rejects_negative_levels():
+    lam = build(1, 2, CASE3_THETA, 8)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        lam.orbit(RESIDUAL_ANGLES[0], -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        tau_sequence(lam, RESIDUAL_ANGLES[0], -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        tau_sequence(lam, CRITICAL, -1)
+
+
+def piece_samples(lam, p, count, seed):
+    """Angles drawn as certify draws them, from the level-p critical piece,
+    plus angles outside it."""
+    rng = random.Random(seed)
+    arcs = critical_piece(lam, min(p, (lam.entry_step or p + 1) - 1)).boundary
+    out = [CRITICAL] + probes(lam, count // 4, seed)
+    while len(out) < count:
+        a, b = arcs[rng.randrange(len(arcs))]
+        out.append(arc_point(a, b, Fraction(rng.randrange(1, 1 << 16), 1 << 16)))
+    return out
+
+
+def test_residual_member_matches_on_case3():
+    lam = build(1, 2, CASE3_THETA, 8)
+    seen = set()
+    for theta in RESIDUAL_ANGLES + piece_samples(lam, CASE3_P, 40, seed=14):
+        for depth in range(CASE3_P, 46):
+            got = outcome(tl.residual_member, lam, theta, CASE3_P, CASE3_L, depth)
+            assert got == outcome(oracle.residual_member, lam, theta, CASE3_P, CASE3_L, depth), \
+                (theta, depth)
+            seen.add(got if isinstance(got, tl.ResidualStatus) else got[0])
+    assert seen == set(tl.ResidualStatus) | {"ValueError"}
+
+
+def test_residual_member_matches_on_late_landing():
+    """Levels at and past entry_step raise Case1DegenerateError in both."""
+    seen = set()
+    for q in range(2, 5):
+        for p in (p for p in range(1, q) if gcd(p, q) == 1):
+            for steps in (9, 11):
+                for theta_v in late_landing(p, q, steps)[:2]:
+                    lam = build(p, q, theta_v, 8)
+                    for level in (3, 6, steps - 1, steps):
+                        for theta in piece_samples(lam, level, 8, seed=level):
+                            for depth in (level, level + 2, steps + 1):
+                                got = outcome(tl.residual_member, lam, theta, level,
+                                              level - 1, depth)
+                                want = outcome(oracle.residual_member, lam, theta, level,
+                                               level - 1, depth)
+                                assert got == want, (theta_v, theta, level, depth)
+                                seen.add(got if isinstance(got, tl.ResidualStatus) else got[0])
+    assert {"Case1DegenerateError", "ValueError"} <= seen
+
+
+def test_residual_member_refuses_depths_below_p():
+    lam = build(1, 2, CASE3_THETA, 8)
+    with pytest.raises(ValueError, match="p = 15"):
+        tl.residual_member(lam, RESIDUAL_ANGLES[0], CASE3_P, CASE3_L, CASE3_P - 1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_residual_samples_match(seed, monkeypatch):
+    """Two depths per seed, 13 apart, so the 20 seeds cover depths 16..41
+    (the whole grid takes about 40 s, the oracle two thirds of it)."""
+    lam = build(1, 2, CASE3_THETA, 8)
+    for depth in (16 + seed, 16 + (seed + 13) % 26):
+        got = cli._residual_samples(lam, CASE3_P, CASE3_L, depth, 1, seed)
+        with monkeypatch.context() as m:
+            m.setattr(tl, "residual_member", oracle.residual_member)
+            want = cli._residual_samples(lam, CASE3_P, CASE3_L, depth, 1, seed)
+        assert got == want, depth
