@@ -54,14 +54,6 @@ class Angle:
     def __float__(self) -> float:
         return self.num / self.den
 
-    def __add__(self, other: "Angle | Fraction | int") -> "Angle":
-        f = self.frac + (other.frac if isinstance(other, Angle) else Fraction(other))
-        return normalize(f.numerator, f.denominator)
-
-    def __sub__(self, other: "Angle | Fraction | int") -> "Angle":
-        f = self.frac - (other.frac if isinstance(other, Angle) else Fraction(other))
-        return normalize(f.numerator, f.denominator)
-
 
 def normalize(p: int, q: int) -> Angle:
     """Reduced representative of p/q mod 1. Raises for q = 0 (or negative)."""

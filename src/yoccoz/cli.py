@@ -149,7 +149,7 @@ def cmd_descendants(args, cfg):
 def cmd_tile(args, cfg):
     from .lamination import build
     from .puzzle import critical_piece
-    from .tiling import classify_case, tile, trivial_tiling
+    from .tiling import classify_case, tile, trivial_case, trivial_tiling
 
     def emit_trivial(case):
         t = trivial_tiling(case, args.level)
@@ -163,8 +163,8 @@ def cmd_tile(args, cfg):
             raise ValueError("tile needs either --lam or all of --p/--q/--theta-v")
         try:
             lam = build(args.p, args.q, args.theta_v, cfg.lamination_depth)
-        except Case1DegenerateError:
-            return emit_trivial(classify_case(args.p, args.q, args.theta_v, depth=1))
+        except Case1DegenerateError as exc:  # its step is the entry step
+            return emit_trivial(trivial_case(exc.step))
     case = classify_case(lam.p, lam.q, lam.theta_v, depth=min(lam.depth, 10), lam=lam)
     if case.kind == "TrivialCase1":
         return emit_trivial(case)

@@ -1,11 +1,14 @@
 """Invariant laminations for the p/q limb: the alpha-ray cycle, its pullbacks,
 ray-pair equivalence, and the slice dynamics on the critical-value sector.
 
-The polygon layers are built up to ``depth`` in integers: every vertex at
-depth j is a numerator n over D_j = (2^q - 1) 2^j, whose halves are n and
-n + D_j over D_{j+1}, so a layer's cyclic order is integer order and the side
-of the critical leaf one comparison.  ``Lamination.polygons`` turns them into
-reduced ``Angle``s on first read.
+Everything is built in integers: every vertex at depth j is a numerator n
+over D_j = (2^q - 1) 2^j, whose halves are n and n + D_j over D_{j+1}, so a
+layer's cyclic order is integer order and the side of the critical leaf one
+comparison with an integer cut.  The level-n gap traces (the boundary arcs of
+puzzle pieces) are sorted (start, end) numerator pairs over D_n, pulled back
+the same way.  Reduced ``Angle``s appear only at output:
+``Lamination.polygons`` builds them on first read, and a piece's boundary
+(puzzle.PieceRef) once per piece.
 
 Gap queries at any level come from the separation level L(u, w), the least
 level at which u and w lie in different gaps: L = 0 across the sectors of the
@@ -47,17 +50,6 @@ MAX_MATERIALIZED_DEPTH = 18
 NEVER = math.inf  # separation level of two angles that no level separates
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Vertices of one landing class (cyclically ordered, smallest first)."""
-
-    vertices: tuple[Angle, ...]
-    depth: int
-
-    def __contains__(self, theta: Angle) -> bool:
-        return theta in self.vertices
-
-
 def alpha_cycle(p: int, q: int) -> list[Angle]:
     """The unique period-q cycle of doubling acting as rotation by p/q.
 
@@ -80,41 +72,25 @@ def alpha_cycle(p: int, q: int) -> list[Angle]:
     return [normalize(v, den) for v in sorted(orbit)]
 
 
-def cycle_entry_step(theta: Angle, cycle: frozenset[Angle]) -> int | None:
-    """Least j >= 0 with 2^j * theta in the cycle, or None if the orbit misses it."""
-    seen = set()
-    cur, j = theta, 0
-    while cur not in seen:
-        if cur in cycle:
-            return j
-        seen.add(cur)
-        cur = double(cur)
-        j += 1
-    return None
-
-
 def _two_adic(n: int) -> int:
     """The exponent of 2 in n > 0."""
     return (n & -n).bit_length() - 1
 
 
-Arc = tuple[Angle, Angle]  # open ccw arc (start, end)
+Arc = tuple[int, int]  # open ccw arc (start, end): numerators over one D_n
 
 
-def arc_contains(arc: Arc, theta: Angle) -> bool:
-    return in_arc(theta, arc[0], arc[1]) is ArcPosition.INSIDE
+def _inside(arc: Arc, den: int, x: int, d: int) -> bool:
+    """x/d lies strictly inside the ccw arc (a, b) over den: its ccw distance
+    from a is positive and less than the arc's length, cross-multiplied."""
+    a, b = arc
+    return 0 < (x * den - a * d) % (den * d) < (b - a) % den * d
 
 
-def _halves(theta: Angle) -> tuple[Angle, Angle]:
-    """The two preimages theta/2 and theta/2 + 1/2."""
-    return normalize(theta.num, 2 * theta.den), normalize(theta.num + theta.den, 2 * theta.den)
-
-
-def _preimage_arcs(arc: Arc) -> tuple[Arc, Arc]:
-    (a0, a1), (b0, b1) = _halves(arc[0]), _halves(arc[1])
-    if arc[0].num * arc[1].den < arc[1].num * arc[0].den:
-        return (a0, b0), (a1, b1)
-    return (a0, b1), (a1, b0)  # the arc wraps past 0
+def _on_trace(arcs: tuple[Arc, ...], den: int, x: int, d: int) -> bool:
+    """x/d lies inside an arc of a sorted trace over den: the last arc that
+    starts before it (a d < x den; cyclically, the last arc if none does)."""
+    return _inside(arcs[bisect_right(arcs, ((x * den - 1) // d, den)) - 1], den, x, d)
 
 
 @dataclass
@@ -179,8 +155,11 @@ class Lamination:
         cyc = alpha_cycle(p, q)
         self.cycle = tuple(cyc)
         full = (1 << q) - 1
-        self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
-        self.critical_leaf: tuple[Angle, Angle] = _halves(theta_v)
+        nums = self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
+        # the level-0 sectors (c_i, c_{i+1}) over D_0, the last wrapping past 0
+        self._sectors = [(c, nums[(i + 1) % q]) for i, c in enumerate(nums)]
+        num, den = theta_v.num, theta_v.den
+        self.critical_leaf = (normalize(num, 2 * den), normalize(num + den, 2 * den))
 
         orbit, self._orbit_pos, last = self._critical_value_orbit()
         self._orbit_pairs = orbit
@@ -189,7 +168,9 @@ class Lamination:
         if self.entry_step is not None and self.entry_step <= depth:
             raise Case1DegenerateError(self.entry_step)
 
-        self.sector = self._critical_value_sector()
+        # the critical-value sector is the shortest
+        s = min(range(q), key=lambda i: (self._sectors[i][1] - self._sectors[i][0]) % full)
+        self.sector = (cyc[s], cyc[(s + 1) % q])
         if in_arc(theta_v, *self.sector) is not ArcPosition.INSIDE:
             raise InvalidThetaError(
                 f"theta_v={theta_v} is not strictly inside the critical-value sector "
@@ -275,15 +256,14 @@ class Lamination:
                 return
             yield point
 
-    def _critical_value_sector(self) -> Arc:
-        """The shortest sector, by the numerator gaps over D_0."""
-        nums, full = self._cycle_nums, self.layer_den(0)
-        return self._sector_arc(min(range(self.q),
-                                    key=lambda i: (nums[(i + 1) % self.q] - nums[i]) % full))
-
     def layer_den(self, j: int) -> int:
         """D_j = (2^q - 1) 2^j, the common denominator of the depth-j vertices."""
         return ((1 << self.q) - 1) << j
+
+    def _cut(self, j: int) -> tuple[int, int]:
+        """divmod(h D_{j+1}, 1) for the leaf end h (see _split)."""
+        h = self.critical_leaf[0]
+        return divmod(h.num * self.layer_den(j + 1), h.den)
 
     def _split(self, polys, j: int) -> list[tuple[int, ...]]:
         """Preimages of depth-j polygons (numerators over D_j): for each, the
@@ -292,8 +272,7 @@ class Lamination:
         a low half n lies inside iff n > h D_{j+1}, and of each antipodal pair
         exactly one does, so both polygons come out sorted."""
         den = self.layer_den(j)
-        h = self.critical_leaf[0]
-        cut, rem = divmod(h.num * 2 * den, h.den)
+        cut, rem = self._cut(j)
         out = []
         for verts in polys:
             k = bisect_right(verts, cut)
@@ -314,9 +293,10 @@ class Lamination:
         return {x: k for k, x in enumerate(self._orbit_pairs)}
 
     @cached_property
-    def polygons(self) -> list[list[Polygon]]:
-        """The layers as polygons of reduced angles, built on first read."""
-        return [[Polygon(tuple(normalize(n, den) for n in verts), j) for verts in layer]
+    def polygons(self) -> list[list[tuple[Angle, ...]]]:
+        """The layers as vertex tuples of reduced angles (cyclically ordered,
+        smallest first), built on first read."""
+        return [[tuple(normalize(n, den) for n in verts) for verts in layer]
                 for j, layer in enumerate(self.layers) for den in (self.layer_den(j),)]
 
     def _critical_values(self) -> list:
@@ -352,12 +332,6 @@ class Lamination:
         return dist
 
     # --------------------------------------------------------------- queries
-
-    def _side(self, num: int, den: int) -> int:
-        """0 strictly inside the arc (h, h + 1/2) of the critical leaf, else 1."""
-        h = self.critical_leaf[0]
-        inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
-        return 0 if inside else 1
 
     def orbit(self, theta: Angle, level: int) -> Orbit:
         """The orbit record of theta to ``level``: one forward walk to its
@@ -453,13 +427,6 @@ class Lamination:
             if k is not None and k + level >= e:
                 raise Case1DegenerateError(e)
 
-    def _leaf_side(self, theta: Angle) -> int:
-        return self._side(theta.num, theta.den)
-
-    def _sector_arc(self, index: int) -> Arc:
-        cyc = self.cycle  # sorted, so consecutive angles bound a sector
-        return cyc[index], cyc[(index + 1) % len(cyc)]
-
     def same_gap(self, level: int, u: Angle, w: Angle) -> bool:
         """True iff no polygon of depth <= level separates u from w on the circle,
         i.e. the separation level L(u, w) exceeds level.
@@ -497,43 +464,55 @@ class Lamination:
             raise Case1DegenerateError(e)
         return self.critical_leaf_levels[slot] > level
 
-    def _pull_back(self, arcs, side: int | None) -> tuple[Arc, ...]:
-        """Preimage arcs of a gap trace, kept on one side of the leaf unless
-        the image gap holds theta_v (then the preimage is one gap).  If it does
-        not, no leaf end lies in a preimage arc or at its start (a vertex), so
-        the start's side is the arc's side."""
-        halves = [h for arc in arcs for h in _preimage_arcs(arc)]
-        if side is not None:
-            halves = [arc for arc in halves if self._leaf_side(arc[0]) == side]
-        return tuple(sorted(halves))
+    def _pull_back(self, arcs: tuple[Arc, ...], j: int, side: int | None) -> tuple[Arc, ...]:
+        """Preimage arcs over D_{j+1} of a sorted gap trace over D_j, kept on one
+        side of the leaf unless the image gap holds theta_v (then the preimage
+        is one gap).  The halves of (a, b) are (a, b) and (a + D_j, b + D_j),
+        paired crosswise when the arc wraps past 0.  Of the two, the one that
+        starts at a lies inside the leaf arc iff a > cut, as in _split; if the
+        image gap misses theta_v, no leaf end lies in a preimage arc or at its
+        start (a vertex), so the start's side is the arc's side.  The starts
+        are sorted, so the kept halves come out sorted as _split's polygons do."""
+        den = self.layer_den(j)
+        low = [(a, b if a < b else b + den) for a, b in arcs]
+        high = [(a + den, b + den if a < b else b) for a, b in arcs]
+        if side is None:
+            return tuple(low + high)
+        k = bisect_right(arcs, (self._cut(j)[0], den))  # the arcs starting at or below the cut
+        return tuple(low[k:] + high[:k] if side == 0 else low[:k] + high[k:])
 
     def trace(self, level: int, theta: Angle, orbit: Orbit | None = None) -> tuple[Arc, ...]:
-        """Circle trace (boundary arcs) of the level gap containing theta:
-        the sector of 2^level theta, pulled back along the orbit (``orbit``:
-        theta's record to this level, if the caller has it)."""
+        """Circle trace (boundary arcs) of the level gap containing theta, as
+        sorted numerator pairs over D_level: the sector of 2^level theta,
+        pulled back along the orbit (``orbit``: theta's record to this level,
+        if the caller has it)."""
         self.guard_level(level, theta)
         rec = self.orbit(theta, level) if orbit is None else orbit
         if rec.hit is not None:
             raise YoccozError(f"{theta} is a vertex at depth <= {level}")
         pos, r = rec.pos, rec.to_value
-        arcs: tuple[Arc, ...] = (self._sector_arc(pos[level][0]),)
+        arcs = (self._sectors[pos[level][0]],)
         for m in range(level - 1, -1, -1):
-            arcs = self._pull_back(arcs, None if r[m + 1] >= level - m else pos[m][1])
-            assert any(arc_contains(a, double(theta, m)) for a in arcs), \
+            j = level - m  # the level of the gap of 2^m theta
+            arcs = self._pull_back(arcs, j - 1, None if r[m + 1] >= j else pos[m][1])
+            x = theta.num * pow(2, m, theta.den) % theta.den
+            assert _on_trace(arcs, self.layer_den(j), x, theta.den), \
                 "probe fell off its own gap trace"
         return arcs
 
     def critical_traces(self, top: int):
-        """Traces of the critical gap at levels 0..top.  The level-m gap of c_k
-        pulls back the level-(m-1) gap of c_{k+1}, so the sweep keeps one level,
-        and of it only the c_k with k + m < top that a later level needs."""
+        """Traces of the critical gap at levels 0..top, as trace() gives them.
+        The level-m gap of c_k pulls back the level-(m-1) gap of c_{k+1}, so the
+        sweep keeps one level, and of it only the c_k with k + m < top that a
+        later level needs."""
         h = self.critical_leaf[0]
-        traces = [(self._sector_arc(s),) for s, _ in self._orbit_pos]
-        yield (self._sector_arc(self._leaf_sector),)
+        traces = [(self._sectors[s],) for s, _ in self._orbit_pos]
+        yield (self._sectors[self._leaf_sector],)
         for level in range(1, top + 1):
             self.guard_level(level)
-            arcs = self._pull_back(traces[0], None)  # 2h = theta_v: one gap
-            assert any(arc_contains(a, h) for a in arcs), "probe fell off its own gap trace"
+            den = self.layer_den(level)
+            arcs = self._pull_back(traces[0], level - 1, None)  # 2h = theta_v: one gap
+            assert _on_trace(arcs, den, h.num, h.den), "probe fell off its own gap trace"
             yield arcs
             new = []
             for k, t in enumerate(self._succ):
@@ -541,26 +520,26 @@ class Lamination:
                     new.append(None)  # not needed, or a vertex (late landing)
                     continue
                 keep_both = self._to_value[t] > level - 1
-                arcs = self._pull_back(traces[t], None if keep_both else self._orbit_pos[k][1])
-                assert any(arc_contains(a, self.critical_orbit[k]) for a in arcs), \
+                arcs = self._pull_back(traces[t], level - 1,
+                                       None if keep_both else self._orbit_pos[k][1])
+                assert _on_trace(arcs, den, *self._orbit_pairs[k]), \
                     "probe fell off its own gap trace"
                 new.append(arcs)
             traces = new
 
-    def polygons_inside(self, level: int, theta: Angle) -> list[tuple[Angle, ...]]:
-        """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
+    def polygons_inside(self, level: int, theta: Angle) -> list[tuple[int, ...]]:
+        """Depth-(level+1) polygons whose vertices lie inside the level gap of
+        theta, as sorted numerators over D_{level+1}."""
         self.guard_level(level + 1, theta)
         rec = _off_cycle(self.orbit(theta, level))
         pos, r = rec.pos, rec.to_value
-        s = pos[level][0]  # the open sector (c_s, c_{s+1}), over D_1 = 2 D_0
-        lo, hi = 2 * self._cycle_nums[s], 2 * self._cycle_nums[(s + 1) % self.q]
+        lo, hi = (2 * c for c in self._sectors[pos[level][0]])  # its open sector, over D_1
         polys = [verts for verts in self._split(self.layers[0], 0)
                  if all(lo < n < hi if lo < hi else n > lo or n < hi for n in verts)]
         for m in range(level - 1, -1, -1):
             children = self._split(polys, level - m)  # inside, outside, inside, ...
             polys = children if r[m + 1] >= level - m else children[pos[m][1]::2]
-        den = self.layer_den(level + 1)
-        return [tuple(normalize(n, den) for n in verts) for verts in polys]
+        return polys
 
     # ----------------------------------------------------------- equivalence
 
@@ -591,30 +570,22 @@ class Lamination:
 
     # ---------------------------------------------------------------- slices
 
-    def _alpha_gap_probe(self, level: int) -> Angle:
-        """An angle just inside the sector next to A, below any vertex spacing."""
-        a = self.sector[0]
-        den = 3 * ((1 << self.q) - 1) * (1 << level)
-        return a + Fraction(1, den)
-
     def slice_data(self) -> SliceData:
         """Locate the separating ray pair (B, C), the return time m, and the
         contraction level k of the slice dynamics inside the sector (A, D),
-        searching the levels up to the build depth."""
+        searching the levels up to the build depth: (B, C) is the hole between
+        two consecutive arcs of the gap next to A that holds theta_v.  That gap
+        holds A + 1 / (3 D_n), below any vertex spacing."""
         A, D = self.sector
+        a, tv = A.num * (self.layer_den(0) // A.den), self.theta_v  # A over D_0
         found = None
         for n in range(1, self.depth + 1):
-            arcs = self.trace(n, self._alpha_gap_probe(n))
-            if any(
-                arc_contains(arc, self.theta_v) or self.theta_v in arc for arc in arcs
-            ):
-                continue
-            holes = [(arcs[i][1], arcs[(i + 1) % len(arcs)][0]) for i in range(len(arcs))]
-            for b, c in holes:
-                if b != c and arc_contains((b, c), self.theta_v):
-                    found = (n, b, c)
-                    break
-            if found:
+            den = self.layer_den(n)
+            arcs = self.trace(n, normalize(3 * (a << n) + 1, 3 * den))
+            holes = [(b, c) for (_, b), (c, _) in zip(arcs, arcs[1:] + arcs[:1])]
+            hole = next((h for h in holes if _inside(h, den, tv.num, tv.den)), None)
+            if hole is not None:
+                found = (n, normalize(hole[0], den), normalize(hole[1], den))
                 break
         if found is None:
             raise NeedsDeeperLaminationError(self.depth)

@@ -1,7 +1,8 @@
 """Puzzle pieces as lamination gaps, the tau function, critical annuli and
 their descendants, and rise-and-drop sequence analytics.
 
-A piece is identified by its level and circle trace (boundary arcs).  All
+A piece is identified by its level and circle trace (boundary arcs), kept as
+the lamination gives it: sorted numerator pairs over D_n = (2^q - 1) 2^n.  All
 predicates reduce to separation levels of the lamination (Lamination.same_gap,
 the leaf levels of an orbit record, and Lamination.critical_image for the
 images of the critical piece), so they work at any level without
@@ -11,10 +12,11 @@ design decision that every test point here is an angle or the leaf.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
-from .angles import Angle, arc_point, double
+from .angles import Angle, double, normalize
 from .errors import (
     NeedsDeeperLaminationError,
     NotFoundWithinBudgetError,
@@ -22,23 +24,29 @@ from .errors import (
     OnBoundaryError,
     OrbitHitsAlphaError,
 )
-from .lamination import Arc, Lamination, Orbit, arc_contains
+from .lamination import Arc, Lamination, Orbit
 
 CRITICAL = "CRITICAL"  # sentinel query point: the critical leaf
-HALF = Fraction(1, 2)  # arc_point(a, b, HALF) is the midpoint of the ccw arc (a, b)
 
 
 @dataclass(frozen=True)
 class PieceRef:
     """A puzzle piece: the gap of the lamination at ``level`` containing ``probe``.
 
-    Equality is by level and boundary arcs; the probe is a convenience witness
-    for membership tests and is excluded from comparisons.
+    ``arcs`` is its circle trace, sorted numerator pairs over ``den`` = D_level,
+    and equality is by level and arcs.  The probe is a convenience witness for
+    membership tests.  ``boundary`` holds the arcs as reduced Angles, built on
+    first read for the readers that print or draw.
     """
 
     level: int
-    boundary: tuple[Arc, ...]
+    arcs: tuple[Arc, ...]
     probe: Angle = field(compare=False)
+    den: int = field(compare=False)
+
+    @cached_property
+    def boundary(self) -> tuple[tuple[Angle, Angle], ...]:
+        return tuple((normalize(a, self.den), normalize(b, self.den)) for a, b in self.arcs)
 
     def __str__(self):
         arcs = ", ".join(f"({a}..{b})" for a, b in self.boundary)
@@ -56,7 +64,7 @@ def piece_of(lam: Lamination, level: int, theta) -> PieceRef:
     rec = lam.orbit(t, level)
     if rec.hit is not None:
         raise OnBoundaryError(f"{t} is a polygon vertex at depth <= {level}")
-    return PieceRef(level=level, boundary=lam.trace(level, t, rec), probe=t)
+    return PieceRef(level, lam.trace(level, t, rec), t, lam.layer_den(level))
 
 
 def critical_piece(lam: Lamination, level: int) -> PieceRef:
@@ -79,24 +87,37 @@ def sub_pieces(lam: Lamination, piece: PieceRef) -> list[PieceRef]:
     """The level-(n+1) pieces contained in a level-n piece.
 
     The subdividing polygons are enumerated by pulling back the polygons
-    inside the image gap, then one probe per subdivision arc is resolved.
+    inside the image gap (numerators over D_{n+1}).  Their vertices cut each
+    boundary arc (a, b), doubled to D_{n+1}, and the midpoint of each cut is
+    resolved.  On an arc that wraps past 0 the cuts run from a through the
+    marks below b, then those above a, to b: not their ccw order, so one
+    midpoint can fall outside the piece and a child go unprobed.
     """
     marks = sorted({v for poly in lam.polygons_inside(piece.level, piece.probe) for v in poly})
+    den = lam.layer_den(piece.level + 1)
     probes = []
-    for a, b in piece.boundary:
-        pts = [a] + [v for v in marks if arc_contains((a, b), v)] + [b]
-        probes += [arc_point(u, w, HALF) for u, w in zip(pts, pts[1:])]
+    for a, b in piece.arcs:
+        a, b = 2 * a, 2 * b
+        lo, hi = bisect_right(marks, a), bisect_left(marks, b)
+        pts = [a] + (marks[lo:hi] if a < b else marks[:hi] + marks[lo:]) + [b]
+        probes += _midpoints(pts, den)
     out: dict = {}
     for t in probes:
         sub = piece_of(lam, piece.level + 1, t)
-        out[(sub.level, sub.boundary)] = sub
+        out[sub] = sub
     return list(out.values())
+
+
+def _midpoints(pts, den: int) -> list[Angle]:
+    """The midpoints of the ccw arcs (u, w) between consecutive numerators
+    over den: (u + w) / 2 den, or (u + w + den) / 2 den when the arc wraps."""
+    return [normalize(u + w if u < w else u + w + den, 2 * den) for u, w in zip(pts, pts[1:])]
 
 
 def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
     """All pieces of one level, by recursive subdivision of the level-0 sectors."""
-    cyc = lam.cycle
-    pieces = [piece_of(lam, 0, arc_point(a, b, HALF)) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    cyc = lam.layers[0][0]  # the cycle numerators over D_0
+    pieces = [piece_of(lam, 0, t) for t in _midpoints(cyc + cyc[:1], lam.layer_den(0))]
     for _ in range(level):
         pieces = [s for piece in pieces for s in sub_pieces(lam, piece)]
     return pieces
@@ -150,14 +171,14 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0,
 
 def _degenerate(outer: tuple[Arc, ...], inner: tuple[Arc, ...]) -> bool:
     """The critical pieces share a boundary ray pair: their traces share an
-    arc endpoint."""
-    return bool({v for arc in outer for v in arc} & {v for arc in inner for v in arc})
+    arc endpoint (the outer numerators over D_n doubled to D_{n+1})."""
+    return bool({2 * v for arc in outer for v in arc} & {v for arc in inner for v in arc})
 
 
 def annulus_degenerate(lam: Lamination, n: int) -> bool:
     """A_n(0) is degenerate iff the critical pieces at n and n+1 share a
     boundary ray pair."""
-    return _degenerate(critical_piece(lam, n).boundary, critical_piece(lam, n + 1).boundary)
+    return _degenerate(critical_piece(lam, n).arcs, critical_piece(lam, n + 1).arcs)
 
 
 def first_nondegenerate(lam: Lamination, budget: int | None = None) -> int:

@@ -129,7 +129,7 @@ def leaf_compatible(lam: Lamination, t1: Angle, t2: Angle, max_depth: int | None
     depth = lam.depth if max_depth is None else min(max_depth, lam.depth)
     for d in range(depth + 1):
         for poly in lam.polygons[d]:
-            if chord_crosses_polygon(t1, t2, poly.vertices):
+            if chord_crosses_polygon(t1, t2, poly):
                 return False
     return True
 
@@ -144,7 +144,7 @@ def image_polygons(lam_hat: Lamination, a0: str, a1: str) -> list[tuple[Angle, .
     out = []
     for layer in lam_hat.polygons:
         for poly in layer:
-            out.append(tuple(tune(a0, a1, v).to_angle() for v in poly.vertices))
+            out.append(tuple(tune(a0, a1, v).to_angle() for v in poly))
     return out
 
 

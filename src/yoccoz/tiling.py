@@ -12,8 +12,8 @@ import enum
 from dataclasses import dataclass
 
 from .angles import Angle
-from .errors import NotFoundWithinBudgetError, YoccozError
-from .lamination import Lamination, cycle_entry_step
+from .errors import Case1DegenerateError, NotFoundWithinBudgetError, YoccozError
+from .lamination import Lamination, build
 from .puzzle import (
     CRITICAL,
     PieceRef,
@@ -38,18 +38,26 @@ class CaseTag:
 def classify_case(p: int, q: int, theta_v: Angle, depth: int, lam: Lamination | None = None) -> CaseTag:
     """Case 1 iff theta_v's orbit meets the alpha cycle (exact for rationals);
     else Recurrent(d) iff the critical orbit re-enters every critical piece up
-    to depth d; otherwise PresumedNonRecurrent(d)."""
-    from .lamination import alpha_cycle, build
-
-    entry = cycle_entry_step(theta_v, frozenset(alpha_cycle(p, q)))
-    if entry is not None:
-        return CaseTag("TrivialCase1", entry, f"2^{entry} theta_v lies in the alpha cycle")
+    to depth d; otherwise PresumedNonRecurrent(d).  The entry step is the
+    lamination's (its build walks the orbit of theta_v).  Without ``lam`` it
+    builds one at depth 1, so theta_v outside the critical-value sector raises
+    InvalidThetaError unless it lands within one doubling."""
     if lam is None:
-        lam = build(p, q, theta_v, 1)
+        try:
+            lam = build(p, q, theta_v, 1)
+        except Case1DegenerateError as exc:
+            return trivial_case(exc.step)
+    if lam.entry_step is not None:
+        return trivial_case(lam.entry_step)
     d = _orbit_free_level(lam)
     if d <= depth:
         return CaseTag("PresumedNonRecurrent", depth, f"no return into the level-{d} critical piece")
     return CaseTag("Recurrent", depth)
+
+
+def trivial_case(entry: int) -> CaseTag:
+    """Case 1: 2^entry theta_v is a cycle angle."""
+    return CaseTag("TrivialCase1", entry, f"2^{entry} theta_v lies in the alpha cycle")
 
 
 def _orbit_free_level(lam: Lamination) -> int:

@@ -9,11 +9,28 @@ library lamination's guard helpers, which the integer layers did not change,
 and the whole-orbit level pass of ``orbit_record_oracle``.
 """
 
+from dataclasses import dataclass
+
 from yoccoz.angles import ArcPosition, Angle, arc_length, double, in_arc, normalize
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError
-from yoccoz.lamination import Polygon, alpha_cycle, arc_contains
+from yoccoz.lamination import alpha_cycle
 
 from orbit_record_oracle import orbit_levels
+
+
+@dataclass(frozen=True)
+class Polygon:
+    """Vertices of one landing class (cyclically ordered, smallest first)."""
+
+    vertices: tuple[Angle, ...]
+    depth: int
+
+    def __contains__(self, theta: Angle) -> bool:
+        return theta in self.vertices
+
+
+def arc_contains(arc, theta):
+    return in_arc(theta, arc[0], arc[1]) is ArcPosition.INSIDE
 
 
 def _double(num, den):

@@ -4,17 +4,19 @@ Each query walked the angle's orbit again, one reduced (num, den) pair per
 point, with a divmod per sector test: ``is_vertex`` by testing the pairs
 against the cycle, ``same_gap`` by the pair walk plus a backward pass over
 every critical-orbit slot at every level, and ``tau_sequence`` by one more
-vertex walk and one more walk and pass.  The library builds one orbit record
-per (angle, level) and answers all of them from it; the tests check that
-both agree, errors included.
+vertex walk and one more walk and pass.  ``cycle_entry_step`` walked one
+``Angle`` per point, and ``classify_case`` took its entry step from it.  The
+library builds one orbit record per (angle, level) and answers all of them
+from it; the tests check that both agree, errors included.
 """
 
 from bisect import bisect_left, bisect_right
 
-from yoccoz.angles import Angle
+from yoccoz.angles import Angle, double
 from yoccoz.errors import OrbitHitsAlphaError, YoccozError
+from yoccoz.lamination import alpha_cycle, build
 from yoccoz.puzzle import CRITICAL
-from yoccoz.tiling import ResidualStatus
+from yoccoz.tiling import CaseTag, ResidualStatus
 
 
 def _double(num, den):
@@ -37,6 +39,32 @@ def position(lam, num, den):
     h = lam.critical_leaf[0]
     inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
     return (count - 1) % lam.q, 0 if inside else 1
+
+
+def cycle_entry_step(theta, cycle):
+    """Least j >= 0 with 2^j * theta in the cycle, or None if the orbit misses it."""
+    seen = set()
+    cur, j = theta, 0
+    while cur not in seen:
+        if cur in cycle:
+            return j
+        seen.add(cur)
+        cur = double(cur)
+        j += 1
+    return None
+
+
+def classify_case(p, q, theta_v, depth, lam=None):
+    """tiling.classify_case with the entry step from the Angle-by-Angle walk."""
+    entry = cycle_entry_step(theta_v, frozenset(alpha_cycle(p, q)))
+    if entry is not None:
+        return CaseTag("TrivialCase1", entry, f"2^{entry} theta_v lies in the alpha cycle")
+    if lam is None:
+        lam = build(p, q, theta_v, 1)
+    d = max(1, max(lam.critical_leaf_levels))
+    if d <= depth:
+        return CaseTag("PresumedNonRecurrent", depth, f"no return into the level-{d} critical piece")
+    return CaseTag("Recurrent", depth)
 
 
 def is_vertex(lam, theta, level):

@@ -16,7 +16,7 @@ class RecursionOracle:
         self.memo = {}
 
     def _sector_index(self, theta):
-        srt = list(self.lam.polygons[0][0].vertices)
+        srt = list(self.lam.polygons[0][0])
         for i in range(len(srt)):
             if in_arc(theta, srt[i], srt[(i + 1) % len(srt)]) is ArcPosition.INSIDE:
                 return i

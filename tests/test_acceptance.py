@@ -77,13 +77,13 @@ def test_acceptance_02_lamination_invariants():
         (p, q), theta, lam = _random_valid_lamination(rng, 10)
         for j, layer in enumerate(lam.polygons):
             assert len(layer) == 1 << j, (p, q, theta, j)
-            assert all(len(poly.vertices) == q for poly in layer)
-        fams = [poly.vertices for layer in lam.polygons for poly in layer]
+            assert all(len(poly) == q for poly in layer)
+        fams = [poly for layer in lam.polygons for poly in layer]
         assert check_unlinked(fams) is None, (p, q, theta)
         for j in range(1, 11):
-            parents = {poly.vertices for poly in lam.polygons[j - 1]}
+            parents = {poly for poly in lam.polygons[j - 1]}
             for poly in lam.polygons[j]:
-                img = tuple(sorted({double(v) for v in poly.vertices}, key=lambda t: t.frac))
+                img = tuple(sorted({double(v) for v in poly}, key=lambda t: t.frac))
                 assert img in parents
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -81,7 +81,10 @@ def test_in_arc_wrapping():
 def test_in_arc_rotation_invariant(theta, a, b, rot):
     if a == b:
         return
-    assert in_arc(theta, a, b) is in_arc(theta + rot, a + rot, b + rot)
+    def turn(t):
+        return normalize(t.num * rot.den + rot.num * t.den, t.den * rot.den)
+
+    assert in_arc(theta, a, b) is in_arc(turn(theta), turn(a), turn(b))
 
 
 def test_orbit_eventually_periodic_structure():

@@ -1,8 +1,10 @@
 """Static hygiene of the package: no module imports a name it never uses or
-a private name of another package module, and every private function is
-referenced somewhere in the package."""
+a private name of another package module, every private function is
+referenced somewhere in the package, and every function the benchmark's
+tracer wraps by name exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -75,3 +77,25 @@ def test_no_dead_private_functions():
     dead = [f"{name}:{line} {fn}" for name, tree in trees.items()
             for fn, line in _private_defs(tree) if fn not in used]
     assert dead == []
+
+
+def _tracer_targets() -> list[tuple[str, str, str, str]]:
+    """The TARGETS list of perfbench/tracer.py, read as a literal (the module
+    is not run)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+
+
+@pytest.mark.parametrize("target", _tracer_targets(), ids=lambda t: t[0])
+def test_tracer_targets_resolve(target):
+    """Tracer.install wraps yoccoz.<module>.<attr>, or Class.__dict__[method],
+    and fails when one is gone: `perfbench/run.py --trace 1` would break."""
+    _, module, attr, _ = target
+    owner = importlib.import_module(f"yoccoz.{module}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert callable(getattr(owner, cls_name).__dict__.get(meth)), attr
+    else:
+        assert callable(getattr(owner, attr, None)), attr

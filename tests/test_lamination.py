@@ -81,7 +81,7 @@ def test_alpha_cycle_large_q():
 
 def test_build_depth1_polygons():
     lam = build(1, 2, SATELLITE_THETA, 1)
-    layers = [[tuple(str(v) for v in poly.vertices) for poly in layer] for layer in lam.polygons]
+    layers = [[tuple(str(v) for v in poly) for poly in layer] for layer in lam.polygons]
     assert layers[0] == [("1/3", "2/3")]
     assert sorted(layers[1]) == [("1/3", "2/3"), ("1/6", "5/6")]
 
@@ -90,11 +90,11 @@ def test_build_counts_all_qgons():
     lam = build(1, 2, MISIUREWICZ_THETA, 8)
     for j, layer in enumerate(lam.polygons):
         assert len(layer) == 1 << j
-        assert all(len(p.vertices) == 2 for p in layer)
+        assert all(len(p) == 2 for p in layer)
     lam3 = build(1, 3, RABBIT_WAKE_THETA, 6)
     for j, layer in enumerate(lam3.polygons):
         assert len(layer) == 1 << j
-        assert all(len(p.vertices) == 3 for p in layer)
+        assert all(len(p) == 3 for p in layer)
 
 
 def test_build_case1_degenerate():
@@ -114,9 +114,9 @@ def test_build_rejects_theta_outside_sector():
 def test_forward_consistency():
     lam = build(1, 2, MISIUREWICZ_THETA, 7)
     for j in range(1, lam.depth + 1):
-        parents = {p.vertices for p in lam.polygons[j - 1]}
+        parents = {p for p in lam.polygons[j - 1]}
         for poly in lam.polygons[j]:
-            image = tuple(sorted({double(v) for v in poly.vertices}, key=lambda a: a.frac))
+            image = tuple(sorted({double(v) for v in poly}, key=lambda a: a.frac))
             assert image in parents
 
 
@@ -140,7 +140,7 @@ def quadratic_unlinked(families):
 def test_unlinked_checker_against_quadratic():
     random.seed(4)
     lam = build(1, 2, MISIUREWICZ_THETA, 5)
-    fams = [p.vertices for layer in lam.polygons for p in layer]
+    fams = [p for layer in lam.polygons for p in layer]
     assert check_unlinked(fams) is None
     assert quadratic_unlinked(fams) is None
     # a deliberately crossing family must be caught by both
@@ -165,7 +165,7 @@ def test_lazy_queries_match_materialized():
             sides = []
             for d in range(level + 1):
                 for poly in lam.polygons[d]:
-                    vs = list(poly.vertices)
+                    vs = list(poly)
                     from yoccoz.angles import ArcPosition, in_arc
 
                     k = next(

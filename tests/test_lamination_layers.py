@@ -54,7 +54,8 @@ def test_integer_layers_match_angle_oracle():
     """Same vertices, same polygon order, same reduced strings, q = 2..14 at depth 8."""
     for p, q, theta in limbs():
         lam, oracle = build(p, q, theta, 8), AngleLamination(p, q, theta, 8)
-        assert lam.polygons == oracle.polygons, (p, q, theta)
+        want = [[poly.vertices for poly in layer] for layer in oracle.polygons]
+        assert lam.polygons == want, (p, q, theta)
         assert _lam_payload(lam)["polygons"] == layer_strings(oracle.polygons), (p, q, theta)
         assert lam.sector == oracle.sector and lam.critical_leaf == oracle.critical_leaf
 
@@ -94,7 +95,8 @@ def test_build_errors_match_angle_oracle():
             for theta in late_landing(p, q, steps):
                 cases += [(p, q, theta, d) for d in (steps - 1, steps, 8)]
         a, _ = sector(p, q)
-        cases.append((p, q, a - Fraction(1, 3 * ((1 << q) - 1)), 3))  # just outside
+        full = (1 << q) - 1
+        cases.append((p, q, normalize(3 * a.num * (full // a.den) - 1, 3 * full), 3))  # just outside
     seen = set()
     for p, q, theta, depth in cases:
         got = outcome(lambda: build(p, q, theta, depth))
@@ -121,7 +123,9 @@ def test_pullback_queries_match_angle_oracle(pq, theta):
                 want = oracle.polygons_inside(lam, level, t)
             except YoccozError:
                 continue
-            assert lam.polygons_inside(level, t) == want, (t, level)
+            den = lam.layer_den(level + 1)
+            got = [tuple(normalize(n, den) for n in verts) for verts in lam.polygons_inside(level, t)]
+            assert got == want, (t, level)
     for depth, layer in enumerate(oracle.polygons):
         for poly in rng.sample(layer, min(4, len(layer))):
             v = rng.choice(poly.vertices)

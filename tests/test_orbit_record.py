@@ -2,6 +2,9 @@
 replaced (tests/orbit_record_oracle.py): leaf levels, tau, residual
 membership and the certify sampler, values and errors alike."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -12,12 +15,12 @@ from yoccoz import cli
 from yoccoz import tiling as tl
 from yoccoz.angles import arc_point, normalize
 from yoccoz.errors import YoccozError
-from yoccoz.lamination import build, cycle_entry_step
+from yoccoz.lamination import alpha_cycle, build
 from yoccoz.puzzle import CRITICAL, critical_piece, tau_sequence
 
 import orbit_record_oracle as oracle
-from fixtures import (AIRPLANE_THETA, CASE3_L, CASE3_P, CASE3_THETA, MISIUREWICZ_THETA,
-                      RESIDUAL_ANGLES, SATELLITE_THETA)
+from fixtures import (AIRPLANE_THETA, CASE1_THETA, CASE1_THETA_SLOW, CASE3_L, CASE3_P,
+                      CASE3_THETA, MISIUREWICZ_THETA, RESIDUAL_ANGLES, SATELLITE_THETA)
 from test_lamination_layers import late_landing
 
 LEVELS = (0, 1, 5, 16, 41, 200, 400)
@@ -113,13 +116,57 @@ def test_same_gap_and_entry_step_match():
         points += [lam.cycle[0], normalize(lam.cycle[0].num, 2 * lam.cycle[0].den)]
         points += list(lam.critical_orbit[:3])
         for u in points:
-            assert lam.vertex_entry_step(u) == cycle_entry_step(u, frozenset(lam.cycle)), u
+            assert lam.vertex_entry_step(u) == oracle.cycle_entry_step(u, frozenset(lam.cycle)), u
             for w in points:
                 for level in (0, 3, 12):
                     got = outcome(lam.same_gap, level, u, w)
                     assert got == outcome(oracle.same_gap, lam, level, u, w), (u, w, level)
                     seen.add(got if isinstance(got, bool) else got[0])
     assert seen == {True, False, "YoccozError", "Case1DegenerateError"}
+
+
+def test_classify_case_matches_entry_walk():
+    """classify_case takes the entry step from the lamination's walk, or from
+    the Case1DegenerateError of its depth-1 build, and agrees with the
+    Angle-by-Angle walk: the fixtures, late landing in seven limbs, and angles
+    outside the sector that land after one doubling or never."""
+    cases = [(1, 2, t) for t in (CASE1_THETA, CASE1_THETA_SLOW, AIRPLANE_THETA, CASE3_THETA,
+                                 MISIUREWICZ_THETA, SATELLITE_THETA)]
+    for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 7), (1, 8)):
+        cases += [(p, q, t) for steps in (1, 2, 3, 5, 9) for t in late_landing(p, q, steps)]
+        cases += [(p, q, normalize(c.num, 2 * c.den)) for c in alpha_cycle(p, q)]  # one doubling
+        cases += [(p, q, normalize(k, 2 * q + 1 + 2 * k)) for k in range(1, 6)]
+    seen = set()
+    for p, q, theta in cases:
+        for depth in (1, 5, 12):
+            got = outcome(tl.classify_case, p, q, theta, depth)
+            assert got == outcome(oracle.classify_case, p, q, theta, depth), (p, q, theta)
+            seen.add(got.kind if isinstance(got, tl.CaseTag) else got[0])
+        try:
+            lam = build(p, q, theta, 6)
+        except YoccozError:
+            continue
+        for depth in (1, 5, 12):
+            assert tl.classify_case(p, q, theta, depth, lam) == \
+                oracle.classify_case(p, q, theta, depth, lam), (p, q, theta)
+    assert seen == {"TrivialCase1", "Recurrent", "PresumedNonRecurrent", "InvalidThetaError"}
+
+
+@pytest.mark.parametrize("theta_v", ["1/6", "5/12", "1/12", "7/24", "13/48", "919/1536"])
+def test_tile_case1_path_matches_entry_walk(theta_v):
+    """`tile --p/--q/--theta-v` reports case 1 with the entry step of its
+    build's Case1DegenerateError, or of the lamination when the landing comes
+    past the build depth (919/1536, after 9 doublings); inside the sector
+    (5/12, 919/1536) or out of it (1/6, 1/12, 7/24, 13/48), that is the Angle
+    walk's step."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["tile", "--p", "1", "--q", "2", "--theta-v", theta_v, "--level", "3"])
+    assert code == 0, buf.getvalue()
+    report = json.loads(buf.getvalue())
+    num, den = map(int, theta_v.split("/"))
+    want = oracle.classify_case(1, 2, normalize(num, den), 1)
+    assert (report["case"], report["L"]) == (want.kind, want.evidence_depth)
 
 
 def test_record_answers_lower_levels():

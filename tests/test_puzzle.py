@@ -257,7 +257,7 @@ def test_lemma_findann_over_found_drops(lam3):
     n1, n2 = CASE3_FRATERNAL
     L = max(n1, n2) + 3
     rng = random.Random(3)
-    arcs = lam3.trace(18, lam3.critical_leaf[0])
+    arcs = pz.critical_piece(lam3, 18).boundary
     checked_drops = 0
     for _ in range(800):
         a, b = arcs[rng.randrange(len(arcs))]

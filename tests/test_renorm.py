@@ -137,4 +137,4 @@ def test_image_polygons_unlinked_with_tuned_lamination(tuned_pair_setup):
             for poly in layer:
                 for i in range(len(img)):
                     for j in range(i + 1, len(img)):
-                        assert not rn.chord_crosses_polygon(img[i], img[j], poly.vertices)
+                        assert not rn.chord_crosses_polygon(img[i], img[j], poly)

@@ -235,7 +235,7 @@ def test_certificate_detects_corruption(lam3):
     cert2 = tl.build_certificate(lam3, CASE3_N, fr, [pz.CRITICAL, RESIDUAL_ANGLES[0]], depth=40)
     h = lam3.critical_leaf[0]
     w = None
-    for a, b in lam3.trace(20, h):
+    for a, b in pz.critical_piece(lam3, 20).boundary:
         for k in range(1, 40):
             cand = from_fraction((a.frac + arc_length((a, b)) * Fraction(k, 40)) % 1)
             if lam3.is_vertex(cand, 21):
