@@ -233,7 +233,7 @@ def ray_point(c: complex, theta: Angle, t: float, cfg: Config = Config()) -> com
 # ------------------------------------------------------------ piece curves
 
 
-def piece_curves(c, lam, pieces, potential: float, samples_per_arc: int = 8,
+def piece_curves(c, pieces, potential: float, samples_per_arc: int = 8,
                  cfg: Config = Config(), rays: Sequence[Angle] = ()
                  ) -> tuple[list[list[complex]], list[RayPolyline]]:
     """Closed ccw polylines around puzzle pieces: equipotential arcs over the
@@ -269,10 +269,10 @@ def piece_curves(c, lam, pieces, potential: float, samples_per_arc: int = 8,
     return curves, [ray_at[theta] for theta in rays]
 
 
-def piece_curve(c, lam, piece, potential: float, samples_per_arc: int = 8,
+def piece_curve(c, piece, potential: float, samples_per_arc: int = 8,
                 cfg: Config = Config()) -> list[complex]:
     """The closed ccw polyline around one puzzle piece (see piece_curves)."""
-    return piece_curves(c, lam, [piece], potential, samples_per_arc, cfg)[0][0]
+    return piece_curves(c, [piece], potential, samples_per_arc, cfg)[0][0]
 
 
 def winding_number(curve: list[complex], z0: complex) -> int:
@@ -302,7 +302,7 @@ def piece_diameters(c, lam, level: int, cfg: Config = Config()):
     if not pieces:
         raise YoccozError(f"no pieces at level {level}")
     pot = min(2.0, 0.4 * math.log(cfg.start_radius)) * 2.0 ** (-level)
-    diams = [curve_diameter(curve) for curve in piece_curves(c, lam, pieces, pot, cfg=cfg)[0]]
+    diams = [curve_diameter(curve) for curve in piece_curves(c, pieces, pot, cfg=cfg)[0]]
     arr = np.array(diams)
     return {"level": level, "count": len(diams), "max": float(arr.max()),
             "median": float(np.median(arr)), "potential": pot}

@@ -183,12 +183,12 @@ class Lamination:
             self.layers.append(self._split(self.layers[j], j))
 
         self._succ = list(range(1, len(orbit))) + [last]
-        self._to_value = self._critical_values()
+        to_value = self._critical_values()
         h = self.critical_leaf[0]
         self._leaf_sector = next(self._points(h.num, h.den))[1][0]
         # L(c_k, leaf) = 1 + L(c_{k+1}, theta_v) inside the leaf's sector
         self.critical_leaf_levels = tuple(
-            0 if s != self._leaf_sector else 1 + (NEVER if t is None else self._to_value[t])
+            0 if s != self._leaf_sector else 1 + (NEVER if t is None else to_value[t])
             for (s, _), t in zip(self._orbit_pos, self._succ)
         )
         # (sector, side) -> the orbit slots k in that sector, and for each the
@@ -499,33 +499,6 @@ class Lamination:
             assert _on_trace(arcs, self.layer_den(j), x, theta.den), \
                 "probe fell off its own gap trace"
         return arcs
-
-    def critical_traces(self, top: int):
-        """Traces of the critical gap at levels 0..top, as trace() gives them.
-        The level-m gap of c_k pulls back the level-(m-1) gap of c_{k+1}, so the
-        sweep keeps one level, and of it only the c_k with k + m < top that a
-        later level needs."""
-        h = self.critical_leaf[0]
-        traces = [(self._sectors[s],) for s, _ in self._orbit_pos]
-        yield (self._sectors[self._leaf_sector],)
-        for level in range(1, top + 1):
-            self.guard_level(level)
-            den = self.layer_den(level)
-            arcs = self._pull_back(traces[0], level - 1, None)  # 2h = theta_v: one gap
-            assert _on_trace(arcs, den, h.num, h.den), "probe fell off its own gap trace"
-            yield arcs
-            new = []
-            for k, t in enumerate(self._succ):
-                if k + level >= top or t is None or traces[t] is None:
-                    new.append(None)  # not needed, or a vertex (late landing)
-                    continue
-                keep_both = self._to_value[t] > level - 1
-                arcs = self._pull_back(traces[t], level - 1,
-                                       None if keep_both else self._orbit_pos[k][1])
-                assert _on_trace(arcs, den, *self._orbit_pairs[k]), \
-                    "probe fell off its own gap trace"
-                new.append(arcs)
-            traces = new
 
     def polygons_inside(self, level: int, theta: Angle) -> list[tuple[int, ...]]:
         """Depth-(level+1) polygons whose vertices lie inside the level gap of

@@ -7,7 +7,9 @@ predicates reduce to separation levels of the lamination (Lamination.same_gap,
 the leaf levels of an orbit record, and Lamination.critical_image for the
 images of the critical piece), so they work at any level without
 recursion; the "piece of 0" is the gap holding the critical leaf, per the
-design decision that every test point here is an angle or the leaf.
+design decision that every test point here is an angle or the leaf.  A
+piece's children are cut from its own trace by the polygons inside it
+(sub_pieces), so only a piece asked for by level and angle is pulled back.
 """
 
 from __future__ import annotations
@@ -84,40 +86,54 @@ def is_critical(lam: Lamination, piece: PieceRef) -> bool:
 
 
 def sub_pieces(lam: Lamination, piece: PieceRef) -> list[PieceRef]:
-    """The level-(n+1) pieces contained in a level-n piece.
+    """The level-(n+1) pieces contained in a level-n piece, cut from its trace.
 
-    The subdividing polygons are enumerated by pulling back the polygons
-    inside the image gap (numerators over D_{n+1}).  Their vertices cut each
-    boundary arc (a, b), doubled to D_{n+1}, and the midpoint of each cut is
-    resolved.  On an arc that wraps past 0 the cuts run from a through the
-    marks below b, then those above a, to b: not their ccw order, so one
-    midpoint can fall outside the piece and a child go unprobed.
+    Each boundary arc, doubled to D_{n+1}, is cut at the vertices of the
+    polygons inside the piece (numerators over D_{n+1}), in ccw order from
+    its start.  Every run between cuts is a boundary arc of one child, which
+    leaves the run's end along a leaf: a polygon side to the polygon's
+    preceding vertex, or the parent's boundary leaf to the next arc's start.
+    Following the leaves closes each child's runs into a cycle.  The children
+    come in the order of their first run, each probed at the midpoint of its
+    last run.
     """
-    marks = sorted({v for poly in lam.polygons_inside(piece.level, piece.probe) for v in poly})
-    den = lam.layer_den(piece.level + 1)
-    probes = []
-    for a, b in piece.arcs:
-        a, b = 2 * a, 2 * b
+    polys = lam.polygons_inside(piece.level, piece.probe)
+    link = {v: poly[i - 1] for poly in polys for i, v in enumerate(poly)}
+    marks = sorted(link)
+    arcs = [(2 * a, 2 * b) for a, b in piece.arcs]
+    link.update((b, c) for (_, b), (c, _) in zip(arcs, arcs[1:] + arcs[:1]))
+    runs: list[Arc] = []
+    for a, b in arcs:
         lo, hi = bisect_right(marks, a), bisect_left(marks, b)
-        pts = [a] + (marks[lo:hi] if a < b else marks[:hi] + marks[lo:]) + [b]
-        probes += _midpoints(pts, den)
-    out: dict = {}
-    for t in probes:
-        sub = piece_of(lam, piece.level + 1, t)
-        out[sub] = sub
-    return list(out.values())
+        pts = [a] + (marks[lo:hi] if a < b else marks[lo:] + marks[:hi]) + [b]
+        runs += zip(pts, pts[1:])
+    starts = {u: i for i, (u, _) in enumerate(runs)}
+    den = lam.layer_den(piece.level + 1)
+    children, seen = [], set()
+    for i in range(len(runs)):
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = starts[link[runs[i][1]]]
+        if cycle:
+            arcs_of = tuple(sorted(runs[k] for k in cycle))
+            probe = _midpoint(*runs[max(cycle)], den)
+            children.append(PieceRef(piece.level + 1, arcs_of, probe, den))
+    return children
 
 
-def _midpoints(pts, den: int) -> list[Angle]:
-    """The midpoints of the ccw arcs (u, w) between consecutive numerators
-    over den: (u + w) / 2 den, or (u + w + den) / 2 den when the arc wraps."""
-    return [normalize(u + w if u < w else u + w + den, 2 * den) for u, w in zip(pts, pts[1:])]
+def _midpoint(u: int, w: int, den: int) -> Angle:
+    """The midpoint of the ccw arc (u, w) over den: (u + w) / 2 den, or
+    (u + w + den) / 2 den when the arc wraps."""
+    return normalize(u + w if u < w else u + w + den, 2 * den)
 
 
 def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
     """All pieces of one level, by recursive subdivision of the level-0 sectors."""
     cyc = lam.layers[0][0]  # the cycle numerators over D_0
-    pieces = [piece_of(lam, 0, t) for t in _midpoints(cyc + cyc[:1], lam.layer_den(0))]
+    den = lam.layer_den(0)
+    pieces = [piece_of(lam, 0, _midpoint(u, w, den)) for u, w in zip(cyc, cyc[1:] + cyc[:1])]
     for _ in range(level):
         pieces = [s for piece in pieces for s in sub_pieces(lam, piece)]
     return pieces
@@ -182,12 +198,11 @@ def annulus_degenerate(lam: Lamination, n: int) -> bool:
 
 
 def first_nondegenerate(lam: Lamination, budget: int | None = None) -> int:
-    """Least n with A_n(0) nondegenerate, sweeping the critical traces upward."""
+    """Least n with A_n(0) nondegenerate, walking the critical pieces upward."""
     limit = budget if budget is not None else max(lam.depth - 1, 1)
-    traces = lam.critical_traces(limit + 1)
-    outer = next(traces)
+    outer = critical_piece(lam, 0).arcs
     for n in range(limit + 1):
-        inner = next(traces)
+        inner = critical_piece(lam, n + 1).arcs
         if not _degenerate(outer, inner):
             return n
         outer = inner

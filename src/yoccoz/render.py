@@ -95,7 +95,7 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
         (critical_piece(lam, lev), color)
         for lev, color in ((highlight_annulus, "#3333cc"), (highlight_annulus + 1, "#cc33cc"))]
     # pieces, annulus outlines and alpha-cycle rays share one fan of bounding rays
-    curves, cycle_rays = piece_curves(c, lam, pieces + [piece for piece, _ in annuli], pot,
+    curves, cycle_rays = piece_curves(c, pieces + [piece for piece, _ in annuli], pot,
                                       cfg=cfg, rays=lam.cycle)
     for ray in cycle_rays:
         canvas.polyline([z for z, _ in ray.points], layer="rays", stroke="#c33", width=1.0)

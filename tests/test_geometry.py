@@ -82,7 +82,7 @@ def test_piece_curve_winding_and_diameters():
     from yoccoz.puzzle import piece_of
 
     piece = piece_of(lam, 0, MISIUREWICZ_THETA)
-    curve = g.piece_curve(c, lam, piece, potential=1.0, samples_per_arc=12)
+    curve = g.piece_curve(c, piece, potential=1.0, samples_per_arc=12)
     # interior sample: the critical value c = -1 lies in the sector piece?
     # use the landing area of theta_v instead: a point on the ray at low potential
     z0 = g.ray_point(c, MISIUREWICZ_THETA, 0.05)
@@ -103,8 +103,8 @@ def test_piece_curves_nest():
     lam = build(1, 2, SATELLITE_THETA, 4)
     c = -1
     theta = normalize(7, 15)
-    inner = g.piece_curve(c, lam, piece_of(lam, 2, theta), potential=0.25, samples_per_arc=8)
-    outer = g.piece_curve(c, lam, piece_of(lam, 1, theta), potential=0.5, samples_per_arc=8)
+    inner = g.piece_curve(c, piece_of(lam, 2, theta), potential=0.25, samples_per_arc=8)
+    outer = g.piece_curve(c, piece_of(lam, 1, theta), potential=0.5, samples_per_arc=8)
     z0 = g.ray_point(c, theta, 0.05)
     assert g.winding_number(inner, z0) == 1
     assert g.winding_number(outer, z0) == 1

@@ -7,11 +7,12 @@ import pytest
 from yoccoz import puzzle as pz
 from yoccoz.angles import Angle, normalize
 from yoccoz.errors import YoccozError
-from yoccoz.lamination import build
+from yoccoz.lamination import Lamination, build
 
 import trace_oracle as oracle
 from fixtures import (AIRPLANE_THETA, CASE3_THETA, MISIUREWICZ_THETA, RABBIT_WAKE_THETA,
                       SATELLITE_THETA)
+from test_lamination_layers import late_landing
 
 
 def as_angles(arcs, den):
@@ -51,15 +52,6 @@ def test_critical_trace_matches_angle_pull_back(theta, top):
         assert as_angles(got, lam.layer_den(level)) == oracle.trace(lam, level, h), level
 
 
-@pytest.mark.parametrize("theta,top", TOPS)
-def test_critical_traces_match(theta, top):
-    lam = build(1, 2, theta, 8)
-    top = min(top, 40)
-    got, want = lam.critical_traces(top), oracle.critical_traces(lam, top)
-    for level, (arcs, expected) in enumerate(zip(got, want, strict=True)):
-        assert as_angles(arcs, lam.layer_den(level)) == expected, level
-
-
 def test_traces_of_other_angles_match(lam3):
     """Off the critical gap the pull-back keeps one side of the leaf; vertices
     fail alike."""
@@ -89,6 +81,41 @@ def test_sub_pieces_of_critical_piece_match(lam3, level):
     want = oracle.piece_of(lam3, level, pz.CRITICAL)
     assert (piece.level, piece.boundary, piece.probe) == (want.level, want.boundary, want.probe)
     same_pieces(pz.sub_pieces(lam3, piece), oracle.sub_pieces(lam3, want))
+
+
+PARTITION_FIXTURES = [((1, 2), SATELLITE_THETA), ((1, 3), RABBIT_WAKE_THETA),
+                      ((1, 2), CASE3_THETA), ((1, 2), AIRPLANE_THETA),
+                      ((1, 2), MISIUREWICZ_THETA), ((2, 5), normalize(151, 512))]
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("pq,theta", PARTITION_FIXTURES)
+def test_enumerate_pieces_partition_the_circle(pq, theta, level):
+    """The pieces of a level are distinct and their arcs tile the circle:
+    the arc lengths (b - a) mod D_n sum to D_n exactly."""
+    lam = build(*pq, theta, 8)
+    pieces = pz.enumerate_pieces(lam, level)
+    den = lam.layer_den(level)
+    assert len(set(pieces)) == len(pieces)
+    assert sum((b - a) % den for piece in pieces for a, b in piece.arcs) == den
+
+
+def test_sub_pieces_cut_the_parent_trace(lam3, monkeypatch):
+    """The 257 children of the level-60 critical piece come from its own
+    trace: no trace, and one orbit record (that of polygons_inside)."""
+    piece = pz.critical_piece(lam3, 60)
+    calls = {"trace": 0, "orbit": 0}
+    for name in calls:
+        original = getattr(Lamination, name)
+
+        def counted(self, *args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lamination, name, counted)
+    children = pz.sub_pieces(lam3, piece)
+    assert len(children) == 257
+    assert calls == {"trace": 0, "orbit": 1}
 
 
 def test_piece_equality_is_by_level_and_arcs(lam3):
@@ -122,6 +149,18 @@ def test_annuli_match(pq, theta):
             outcome(oracle.first_nondegenerate, lam, budget)
     for n in range(21):
         assert pz.annulus_degenerate(lam, n) == oracle.annulus_degenerate(lam, n), n
+
+
+@pytest.mark.parametrize("q", range(2, 6))
+def test_first_nondegenerate_matches_on_late_landing(q):
+    """theta_v meets the cycle after 9..12 doublings, past the build depth:
+    the same level, or the same error."""
+    for steps in range(9, 13):
+        for theta in late_landing(1, q, steps):
+            lam = build(1, q, theta, 8)
+            for budget in (None, 5, 20):
+                assert outcome(pz.first_nondegenerate, lam, budget) == \
+                    outcome(oracle.first_nondegenerate, lam, budget), (theta, budget)
 
 
 def test_critical_piece_makes_no_angle_per_pulled_back_arc(lam3, monkeypatch):

@@ -8,12 +8,19 @@ and the probe check scans every arc.  ``sub_pieces``, ``enumerate_pieces``,
 search of ``slice_data`` read these traces.  They borrow the lamination's
 orbit records, guards and build-time orbit data, which the integer traces
 did not change.
+
+``sub_pieces`` is also the probe path that the library's children cut from
+their parent's trace replaced: the midpoint of every run between cuts is
+resolved from level 0, and repeats are dropped by trace.  ``critical_traces``
+is the level sweep of the critical gap that ``first_nondegenerate`` read
+before it read the critical pieces.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from yoccoz.angles import Angle, ArcPosition, arc_point, double, from_fraction, in_arc, normalize
+from yoccoz.angles import (Angle, ArcPosition, arc_length, arc_point, double, from_fraction, in_arc,
+                           normalize)
 from yoccoz.errors import NeedsDeeperLaminationError, OnBoundaryError, YoccozError
 from yoccoz.puzzle import CRITICAL, query_angle
 
@@ -73,6 +80,7 @@ def trace(lam, level, theta, orbit=None):
 def critical_traces(lam, top):
     h = lam.critical_leaf[0]
     traces = [(_sector_arc(lam, s),) for s, _ in lam._orbit_pos]
+    to_value = lam._critical_values()
     yield (_sector_arc(lam, lam._leaf_sector),)
     for level in range(1, top + 1):
         lam.guard_level(level)
@@ -84,7 +92,7 @@ def critical_traces(lam, top):
             if k + level >= top or t is None or traces[t] is None:
                 new.append(None)  # not needed, or a vertex (late landing)
                 continue
-            keep_both = lam._to_value[t] > level - 1
+            keep_both = to_value[t] > level - 1
             arcs = _pull_back(lam, traces[t], None if keep_both else lam._orbit_pos[k][1])
             assert any(arc_contains(a, lam.critical_orbit[k]) for a in arcs), \
                 "probe fell off its own gap trace"
@@ -117,7 +125,9 @@ def sub_pieces(lam, piece):
     marks = sorted({v for poly in polygons_inside(lam, piece.level, piece.probe) for v in poly})
     probes = []
     for a, b in piece.boundary:
-        pts = [a] + [v for v in marks if arc_contains((a, b), v)] + [b]
+        inside = sorted((v for v in marks if arc_contains((a, b), v)),
+                        key=lambda v: arc_length((a, v)))  # ccw from a
+        pts = [a] + inside + [b]
         probes += [arc_point(u, w, HALF) for u, w in zip(pts, pts[1:])]
     out = {}
     for t in probes:
