@@ -37,24 +37,8 @@ def _complex(text: str) -> complex:
     return complex(re, im)
 
 
-def _json_default(obj):
-    from dataclasses import asdict, is_dataclass
-
-    if isinstance(obj, Angle):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"unserializable {type(obj)}")
-
-
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -255,7 +239,7 @@ def _write_json_atomic(path: str, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, default=_json_default)
+            json.dump(obj, fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,5 +1,6 @@
 """Floating-point dynamical plane: Boettcher potential, external ray tracing
-by Newton continuation, puzzle-piece curves, and discrete modulus estimation.
+by Newton continuation, puzzle-piece curves, and discrete modulus estimation
+(one Jacobi-preconditioned CG solve on the grid's edge-node incidence matrix).
 
 The paper carries no numerics; every tolerance here is an engineering choice
 and is recorded in reports.  Convention: the round annulus r < |z| < R has
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle, arc_point, double
+from .angles import Angle, arc_point
 from .config import Config
 from .errors import (
     InvalidRegionError,
@@ -85,14 +86,14 @@ def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config)
     """Solve f^n(z) = exp(2^n (t + 2 pi i theta)) by Newton from z0.
 
     n is chosen so the target modulus sits in [R0, R0^2); the angle 2^n theta
-    is reduced exactly before going to floats, which is what keeps deep rays
+    is reduced exactly, as the integer 2^n num mod den, before the one
+    correctly rounded division to a float, which is what keeps deep rays
     honest.
     """
     logR = math.log(cfg.start_radius)
     n = max(0, math.ceil(math.log2(logR / t))) if t < logR else 0
     r = math.exp((2**n) * t)
-    ang = double(theta, n)
-    a = TWO_PI * (ang.num / ang.den)
+    a = TWO_PI * (theta.num * pow(2, n, theta.den) % theta.den / theta.den)
     w = r * complex(math.cos(a), math.sin(a))
     tol = NEWTON_TOL * max(abs(w), 1.0)
     w_floor = 8 * (2.0**n) * abs(w)
@@ -359,68 +360,36 @@ def round_annulus_mask(r: float, R: float, h: float) -> GridMask:
 def modulus_estimate(mask: GridMask) -> float:
     """Discrete extremal length via the grid resistor network: solve the
     two-electrode Laplace problem and return 1 / energy (round annulus
-    convention log(R/r)/2pi)."""
-    mask.validate()
-    u = _solve_network(mask)
-    energy = _grid_energy(u, mask.inside)
-    if energy <= 0:
-        raise InvalidRegionError("zero energy: electrodes disconnected?")
-    return 1.0 / energy
+    convention log(R/r)/2pi).
 
-
-def _solve_network(mask: GridMask) -> np.ndarray:
+    G is the edge-node incidence matrix of the 4-neighbour graph on the
+    inside nodes.  With u = 0 on inner and 1 on outer, the free nodes solve
+    G_f^T G_f u_f = -G_f^T G u by Jacobi-preconditioned CG, and the energy is
+    |G u|^2."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    inside, inner, outer = mask.inside, mask.inner, mask.outer
-    ny, nx = inside.shape
-    unknown = inside & ~inner & ~outer
-    idx = -np.ones((ny, nx), dtype=np.int64)
-    ids = np.flatnonzero(unknown.ravel())
-    idx.ravel()[ids] = np.arange(len(ids))
-    n = len(ids)
-
-    uy, ux = np.nonzero(unknown)
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    rhs = np.zeros(n)
-    diag = np.zeros(n)
-    me_all = np.arange(n)
-    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        yy, xx = uy + dy, ux + dx
-        ok = (yy >= 0) & (yy < ny) & (xx >= 0) & (xx < nx)
-        yin, xin, me = yy[ok], xx[ok], me_all[ok]
-        nbr_inside = inside[yin, xin]
-        diag[me[nbr_inside]] += 1.0
-        sel = nbr_inside & unknown[yin, xin]
-        rows.append(me[sel])
-        cols.append(idx[yin[sel], xin[sel]])
-        vals.append(np.full(int(sel.sum()), -1.0))
-        sel_out = nbr_inside & outer[yin, xin]
-        rhs[me[sel_out]] += 1.0
-    rows.append(me_all)
-    cols.append(me_all)
-    vals.append(diag)
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    if n <= 250_000:
-        u_flat = spla.spsolve(A.tocsc(), rhs)
-    else:
-        M = sp.diags(1.0 / A.diagonal())
-        u_flat, info = spla.cg(A, rhs, rtol=1e-10, maxiter=10_000, M=M)
-        if info != 0:
-            raise YoccozError(f"conjugate gradient did not converge (info={info})")
-    u = np.zeros((ny, nx))
-    u[outer] = 1.0
-    u[uy, ux] = u_flat
-    return u
-
-
-def _grid_energy(u: np.ndarray, inside: np.ndarray) -> float:
-    ex = inside[:, :-1] & inside[:, 1:]
-    ey = inside[:-1, :] & inside[1:, :]
-    dx = (u[:, 1:] - u[:, :-1])[ex]
-    dy = (u[1:, :] - u[:-1, :])[ey]
-    return float((dx**2).sum() + (dy**2).sum())
+    mask.validate()
+    inside = mask.inside
+    node = np.arange(inside.size).reshape(inside.shape)
+    across = inside[:, :-1] & inside[:, 1:]
+    down = inside[:-1, :] & inside[1:, :]
+    ends = np.stack([np.concatenate([node[:, :-1][across], node[:-1, :][down]]),
+                     np.concatenate([node[:, 1:][across], node[1:, :][down]])], axis=1)
+    m = len(ends)
+    G = sp.csr_matrix((np.tile([-1.0, 1.0], m), ends.ravel(), np.arange(0, 2 * m + 1, 2)),
+                      shape=(m, inside.size))
+    free = (inside & ~mask.inner & ~mask.outer).ravel()
+    u = mask.outer.ravel().astype(float)
+    G_f = G[:, free]
+    A = (G_f.T @ G_f).tocsr()
+    u_f, info = spla.cg(A, -(G_f.T @ (G @ u)), rtol=1e-10, maxiter=10_000,
+                        M=sp.diags(1.0 / A.diagonal()))
+    if info != 0:
+        raise YoccozError(f"conjugate gradient did not converge (info={info})")
+    u[free] = u_f
+    grad = G @ u
+    energy = float(grad @ grad)
+    if energy <= 0:
+        raise InvalidRegionError("zero energy: electrodes disconnected?")
+    return 1.0 / energy

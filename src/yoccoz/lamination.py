@@ -163,15 +163,17 @@ class Lamination:
 
         orbit, self._orbit_pos, last = self._critical_value_orbit()
         self._orbit_pairs = orbit
-        # Degeneracy must win over the sector test (the 1/6 example is case 1).
         self.entry_step = len(orbit) if last is None else None
-        if self.entry_step is not None and self.entry_step <= depth:
-            raise Case1DegenerateError(self.entry_step)
-
         # the critical-value sector is the shortest
         s = min(range(q), key=lambda i: (self._sectors[i][1] - self._sectors[i][0]) % full)
         self.sector = (cyc[s], cyc[(s + 1) % q])
-        if in_arc(theta_v, *self.sector) is not ArcPosition.INSIDE:
+        inside = in_arc(theta_v, *self.sector) is ArcPosition.INSIDE
+        # Degeneracy wins over the sector test at any depth (the 1/6 example is
+        # case 1); inside the sector a landing past depth still builds, with
+        # entry_step recording it.
+        if self.entry_step is not None and (self.entry_step <= depth or not inside):
+            raise Case1DegenerateError(self.entry_step)
+        if not inside:
             raise InvalidThetaError(
                 f"theta_v={theta_v} is not strictly inside the critical-value sector "
                 f"({self.sector[0]}, {self.sector[1]})"

@@ -41,7 +41,7 @@ def classify_case(p: int, q: int, theta_v: Angle, depth: int, lam: Lamination | 
     to depth d; otherwise PresumedNonRecurrent(d).  The entry step is the
     lamination's (its build walks the orbit of theta_v).  Without ``lam`` it
     builds one at depth 1, so theta_v outside the critical-value sector raises
-    InvalidThetaError unless it lands within one doubling."""
+    InvalidThetaError unless its orbit lands on the alpha cycle."""
     if lam is None:
         try:
             lam = build(p, q, theta_v, 1)

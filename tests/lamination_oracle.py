@@ -60,11 +60,11 @@ class AngleLamination:
             orbit.append(x)
             x = _double(*x)
         entry_step = len(orbit) if x in cycle_pairs else None
-        if entry_step is not None and entry_step <= depth:
-            raise Case1DegenerateError(entry_step)
-
         self.sector = self._critical_value_sector()
-        if in_arc(theta_v, *self.sector) is not ArcPosition.INSIDE:
+        inside = in_arc(theta_v, *self.sector) is ArcPosition.INSIDE
+        if entry_step is not None and (entry_step <= depth or not inside):
+            raise Case1DegenerateError(entry_step)
+        if not inside:
             raise InvalidThetaError(
                 f"theta_v={theta_v} is not strictly inside the critical-value sector "
                 f"({self.sector[0]}, {self.sector[1]})"

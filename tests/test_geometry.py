@@ -9,6 +9,7 @@ from yoccoz.errors import InvalidRegionError, NotConnectedError, YoccozError
 from yoccoz import geometry as g
 
 from fixtures import MISIUREWICZ_THETA, SATELLITE_THETA
+from network_oracle import network_modulus
 
 
 def test_fixed_points_examples():
@@ -118,6 +119,53 @@ def test_modulus_round_annuli():
     assert abs(m - target) / target < 0.05
     m2 = g.modulus_estimate(g.round_annulus_mask(1.0, math.e**2, 1 / 64))
     assert abs(m2 - 2 * target) / (2 * target) < 0.05
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 48, 1 / 64], ids=["1/32", "1/48", "1/64"])
+def test_modulus_matches_network_oracle(h):
+    mask = g.round_annulus_mask(1.0, math.e, h)
+    want = network_modulus(mask)
+    assert abs(g.modulus_estimate(mask) - want) <= 1e-12 * want
+
+
+def notched_disk_mask(r: float, R: float, h: float) -> g.GridMask:
+    """The annulus r < |z| < R inside the disk |z| <= R + 2h, less a slot
+    |y| < 4h, x > (r + R) / 2 cut in from the rim: the box corners and the
+    slot are outside, so edges and degrees must count inside nodes only."""
+    n = int(math.ceil(2 * (R + 3 * h) / h)) + 1
+    xs = np.linspace(-(R + 3 * h), R + 3 * h, n)
+    X, Y = np.meshgrid(xs, xs)
+    rad = np.hypot(X, Y)
+    inside = (rad <= R + 2 * h) & ~((np.abs(Y) < 4 * h) & (X > (r + R) / 2))
+    return g.GridMask(origin=(xs[0], xs[0]), h=h, inside=inside,
+                      inner=rad <= r, outer=inside & (rad >= R))
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 48], ids=["1/32", "1/48"])
+def test_modulus_matches_network_oracle_on_notched_disk(h):
+    mask = notched_disk_mask(1.0, math.e, h)
+    assert not mask.inside.all()
+    want = network_modulus(mask)
+    assert abs(g.modulus_estimate(mask) - want) <= 1e-12 * want
+
+
+def test_modulus_is_one_cg_solve(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spsolve called")
+
+    calls = []
+    cg = spla.cg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spsolve", refuse)
+    monkeypatch.setattr(spla, "cg", counted)
+    g.modulus_estimate(g.round_annulus_mask(1.0, math.e, 1 / 16))
+    assert len(calls) == 1
 
 
 def test_modulus_grotzsch_superadditive():

@@ -84,10 +84,13 @@ def outcome(make):
 
 
 def test_build_errors_match_angle_oracle():
-    """Late landing before the build depth (Case1DegenerateError with its step)
-    and angles outside the sector (InvalidThetaError) fail alike."""
+    """Late landing before the build depth or outside the sector at any depth
+    (Case1DegenerateError with its step) and other angles outside the sector
+    (InvalidThetaError) fail alike."""
     cases = [(1, 2, CASE1_THETA, d) for d in range(4)]
     cases += [(1, 2, CASE1_THETA_SLOW, d) for d in range(4)]
+    cases += [(1, 2, normalize(1, 12), d) for d in range(4)]  # outside, lands after 2
+    cases += [(1, 2, normalize(1, 1536), d) for d in (1, 8)]  # outside, lands after 9
     rng = random.Random(9)
     for q in range(2, 15):
         p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])

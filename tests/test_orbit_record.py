@@ -14,7 +14,7 @@ import pytest
 from yoccoz import cli
 from yoccoz import tiling as tl
 from yoccoz.angles import arc_point, normalize
-from yoccoz.errors import YoccozError
+from yoccoz.errors import Case1DegenerateError, YoccozError
 from yoccoz.lamination import alpha_cycle, build
 from yoccoz.puzzle import CRITICAL, critical_piece, tau_sequence
 
@@ -129,9 +129,15 @@ def test_classify_case_matches_entry_walk():
     """classify_case takes the entry step from the lamination's walk, or from
     the Case1DegenerateError of its depth-1 build, and agrees with the
     Angle-by-Angle walk: the fixtures, late landing in seven limbs, and angles
-    outside the sector that land after one doubling or never."""
+    outside the sector that land after one, two or nine doublings or never.
+    Outside the sector a landing is case 1 whatever the build depth."""
+    for depth in (1, 2):
+        with pytest.raises(Case1DegenerateError) as err:
+            build(1, 2, normalize(1, 12), depth)
+        assert err.value.step == 2
     cases = [(1, 2, t) for t in (CASE1_THETA, CASE1_THETA_SLOW, AIRPLANE_THETA, CASE3_THETA,
-                                 MISIUREWICZ_THETA, SATELLITE_THETA)]
+                                 MISIUREWICZ_THETA, SATELLITE_THETA,
+                                 normalize(1, 12), normalize(1, 1536))]
     for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 7), (1, 8)):
         cases += [(p, q, t) for steps in (1, 2, 3, 5, 9) for t in late_landing(p, q, steps)]
         cases += [(p, q, normalize(c.num, 2 * c.den)) for c in alpha_cycle(p, q)]  # one doubling
@@ -152,21 +158,26 @@ def test_classify_case_matches_entry_walk():
     assert seen == {"TrivialCase1", "Recurrent", "PresumedNonRecurrent", "InvalidThetaError"}
 
 
-@pytest.mark.parametrize("theta_v", ["1/6", "5/12", "1/12", "7/24", "13/48", "919/1536"])
-def test_tile_case1_path_matches_entry_walk(theta_v):
-    """`tile --p/--q/--theta-v` reports case 1 with the entry step of its
-    build's Case1DegenerateError, or of the lamination when the landing comes
-    past the build depth (919/1536, after 9 doublings); inside the sector
-    (5/12, 919/1536) or out of it (1/6, 1/12, 7/24, 13/48), that is the Angle
-    walk's step."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(["tile", "--p", "1", "--q", "2", "--theta-v", theta_v, "--level", "3"])
-    assert code == 0, buf.getvalue()
-    report = json.loads(buf.getvalue())
+@pytest.mark.parametrize("theta_v", ["1/6", "5/12", "1/12", "7/24", "13/48", "919/1536",
+                                     "1/1536"])
+def test_tile_case1_path_matches_entry_walk(theta_v, tmp_path):
+    """`tile --p/--q/--theta-v` reports case 1 with the Angle walk's entry
+    step at lamination depths 1, 2 and 8, inside the sector (5/12, 919/1536)
+    or out of it (1/6, 1/12, 7/24, 13/48, 1/1536).  The step comes from the
+    build's Case1DegenerateError, or from the lamination when a landing inside
+    the sector comes past the build depth (919/1536, after 9 doublings)."""
     num, den = map(int, theta_v.split("/"))
     want = oracle.classify_case(1, 2, normalize(num, den), 1)
-    assert (report["case"], report["L"]) == (want.kind, want.evidence_depth)
+    for depth in (1, 2, 8):
+        config = tmp_path / f"depth{depth}.cfg"
+        config.write_text(f"lamination_depth={depth}\n")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["--config", str(config), "tile", "--p", "1", "--q", "2",
+                             "--theta-v", theta_v, "--level", "3"])
+        assert code == 0, (depth, buf.getvalue())
+        report = json.loads(buf.getvalue())
+        assert (report["case"], report["L"]) == (want.kind, want.evidence_depth), depth
 
 
 def test_record_answers_lower_levels():
