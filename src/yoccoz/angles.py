@@ -21,7 +21,7 @@ class InvalidDenominatorError(ValueError):
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Angle:
     """A point of R/Z written as a reduced fraction num/den with 0 <= num < den.
 

@@ -38,7 +38,10 @@ def _complex(text: str) -> complex:
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -76,11 +79,6 @@ def _load_lam(path: str):
     return lam
 
 
-def _reduced(num: int, den: int) -> str:
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def _lam_payload(lam) -> dict:
     return {
         "p": lam.p,
@@ -89,9 +87,27 @@ def _lam_payload(lam) -> dict:
         "depth": lam.depth,
         "sector": [str(lam.sector[0]), str(lam.sector[1])],
         "critical_leaf": [str(lam.critical_leaf[0]), str(lam.critical_leaf[1])],
-        "polygons": [[[_reduced(n, den) for n in verts] for verts in layer]
+        "polygons": [[[f"{n // (g := gcd(n, den))}/{den // g}" for n in verts] for verts in layer]
                      for j, layer in enumerate(lam.layers) for den in (lam.layer_den(j),)],
     }
+
+
+# The `polygons` key of a lamination report as `json.dumps(indent=2)` writes
+# it. A newline and two spaces precede only top-level keys: no string value
+# holds a raw newline, so the key occurs once.
+_POLYGONS_KEY = '\n  "polygons": '
+
+
+def _polygons_json(layers) -> str:
+    """The polygon layers as `json.dumps(indent=2)` writes them at key depth 1.
+    A vertex string holds only digits and "/", so none needs escaping."""
+    def polygon(verts):
+        return '[\n        "' + '",\n        "'.join(verts) + '"\n      ]' if verts else "[]"
+
+    def layer(polys):
+        return "[\n      " + ",\n      ".join(map(polygon, polys)) + "\n    ]" if polys else "[]"
+
+    return "[\n    " + ",\n    ".join(map(layer, layers)) + "\n  ]" if layers else "[]"
 
 
 # ---------------------------------------------------------------- commands
@@ -101,7 +117,12 @@ def cmd_lamination(args, cfg):
     from .lamination import build
 
     lam = build(args.p, args.q, args.theta_v, args.depth)
-    _emit(_report(cfg, **_lam_payload(lam)), args.out)
+    payload = _lam_payload(lam)
+    polygons = payload.pop("polygons")
+    text = json.dumps(_report(cfg, polygons="", **payload), indent=2, sort_keys=True) + "\n"
+    placeholder = _POLYGONS_KEY + '""'
+    assert text.count(placeholder) == 1
+    _write(text.replace(placeholder, _POLYGONS_KEY + _polygons_json(polygons)), args.out)
 
 
 def cmd_tau(args, cfg):
@@ -433,8 +454,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # A q-bit angle has about 0.3·q decimal digits: lift CPython's limit on
+    # integer-string conversion (4300 digits by default) for this run only.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = _parser().parse_args(argv)
         overrides = {"seed": args.seed} if args.seed is not None else {}
         cfg = load_config(args.config, overrides)
         args.fn(args, cfg)
@@ -445,6 +470,8 @@ def main(argv=None) -> int:
             error["step"] = exc.step
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -91,3 +91,9 @@ def test_orbit_eventually_periodic_structure():
     info = orbit(normalize(5, 48))
     assert double(info.orbit[info.preperiod + info.period - 1]) == info.orbit[info.preperiod]
     assert len(set(info.orbit)) == len(info.orbit)
+
+
+def test_angle_has_slots_and_no_instance_dict():
+    assert not hasattr(Angle(1, 3), "__dict__")
+    with pytest.raises(ValueError):
+        Angle(2, 6)
