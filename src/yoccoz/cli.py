@@ -153,12 +153,10 @@ def cmd_descendants(args, cfg):
 
 def cmd_tile(args, cfg):
     from .lamination import build
-    from .puzzle import critical_piece
-    from .tiling import classify_case, tile, trivial_case, trivial_tiling
+    from .tiling import tile, trivial_case, trivial_tiling
 
-    def emit_trivial(case):
-        t = trivial_tiling(case, args.level)
-        _emit(_report(cfg, case=case.kind, evidence=case.evidence_depth, L=t.L,
+    def emit_trivial(t):
+        _emit(_report(cfg, case=t.case.kind, evidence=t.case.evidence_depth, L=t.L,
                       tiles=[{"level": args.level, "whole_piece": True}], residual=[]), args.out)
 
     if args.lam:
@@ -169,14 +167,12 @@ def cmd_tile(args, cfg):
         try:
             lam = build(args.p, args.q, args.theta_v, cfg.lamination_depth)
         except Case1DegenerateError as exc:  # its step is the entry step
-            return emit_trivial(trivial_case(exc.step))
-    case = classify_case(lam.p, lam.q, lam.theta_v, depth=min(lam.depth, 10), lam=lam)
-    if case.kind == "TrivialCase1":
-        return emit_trivial(case)
-    piece = critical_piece(lam, args.level)
-    t = tile(lam, piece, max_tile_level=args.max_tile_level or cfg.max_tile_level,
-             case=case, search_budget=cfg.search_budget)
-    _emit(_report(cfg, case=case.kind, evidence=case.evidence_depth, L=t.L,
+            return emit_trivial(trivial_tiling(trivial_case(exc.step), args.level))
+    max_tile_level = cfg.max_tile_level if args.max_tile_level is None else args.max_tile_level
+    t = tile(lam, args.level, max_tile_level, search_budget=cfg.search_budget)
+    if t.case.kind == "TrivialCase1":
+        return emit_trivial(t)
+    _emit(_report(cfg, case=t.case.kind, evidence=t.case.evidence_depth, L=t.L,
                   base_level=t.base_level, fraternal=t.fraternal,
                   residual_params=list(t.residual_params), unresolved=t.unresolved,
                   max_tile_level=t.max_tile_level,
@@ -186,21 +182,20 @@ def cmd_tile(args, cfg):
 
 
 def cmd_certify(args, cfg):
-    from .puzzle import CRITICAL, first_nondegenerate, fraternal_descendants
-    from .tiling import build_certificate, verify_certificate
+    from .puzzle import CRITICAL
+    from .tiling import build_certificate, case3_level, verify_certificate
 
     lam = _load_lam(args.lam)
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
-    N = first_nondegenerate(lam, cfg.search_budget)
-    fr = fraternal_descendants(lam, N, cfg.search_budget)
+    N, fr, L = case3_level(lam, cfg.search_budget)
     thetas = [CRITICAL]
     if args.samples > 1:
-        p = max(fr) + 4
+        p = L + 1
         if args.depth < p:  # residual_member refuses it, and _residual_samples swallows that
             raise ValueError(f"certify --depth {args.depth} tests no residual sample: "
                              f"it must be >= p = {p}, the level of the sampled piece")
-        thetas += _residual_samples(lam, p, p - 1, args.depth, args.samples - 1, cfg.seed)
+        thetas += _residual_samples(lam, p, L, args.depth, args.samples - 1, cfg.seed)
     cert = build_certificate(lam, N, fr, thetas, args.depth)
     rep = verify_certificate(lam, cert)
     _emit(_report(cfg, base_level=N, fraternal=list(fr), depth=args.depth,
@@ -238,7 +233,7 @@ def cmd_renorm(args, cfg):
     from .renorm import detect
 
     lam = _load_lam(args.lam)
-    rep = detect(lam, args.budget or cfg.renorm_budget)
+    rep = detect(lam, cfg.renorm_budget if args.budget is None else args.budget)
     _emit(_report(cfg, renormalizable=rep.renormalizable, period=rep.period,
                   witness_level=rep.witness_level, kind=rep.kind, budget=rep.budget), args.out)
 
@@ -309,10 +304,7 @@ def cmd_render(args, cfg):
 
     lam = _load_lam(args.lam)
     svg = render_puzzle(_complex(args.c), lam, args.level, highlight_annulus=args.annulus, cfg=cfg)
-    out = args.out or "yoccoz.svg"
-    with open(out, "w") as fh:
-        fh.write(svg)
-    print(out)
+    _write(svg, args.out or "yoccoz.svg")
 
 
 def cmd_qc(args, cfg):

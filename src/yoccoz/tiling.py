@@ -12,15 +12,15 @@ import enum
 from dataclasses import dataclass
 
 from .angles import Angle
-from .errors import Case1DegenerateError, NotFoundWithinBudgetError, YoccozError
+from .errors import Case1DegenerateError, NotFoundWithinBudgetError
 from .lamination import Lamination, build
 from .puzzle import (
     CRITICAL,
     PieceRef,
+    critical_piece,
     descendant_check,
     first_nondegenerate,
     fraternal_descendants,
-    is_critical,
     query_angle,
     sub_pieces,
     tau,
@@ -75,7 +75,6 @@ class Tiling:
     residual_params: tuple[int, int]  # (p, L)
     unresolved: int  # pieces past the enumeration cap still failing univalence
     max_tile_level: int
-    certificate: "AnnulusCertificate | None" = None
     base_level: int | None = None  # N of the first nondegenerate annulus (case 3)
     fraternal: tuple[int, int] | None = None
 
@@ -103,45 +102,30 @@ def case2_level(lam: Lamination, budget: int) -> int:
     raise NotFoundWithinBudgetError(budget, "critical orbit meets every critical piece probed")
 
 
-def tile(
-    lam: Lamination,
-    piece: PieceRef,
-    max_tile_level: int,
-    case: CaseTag | None = None,
-    search_budget: int = 24,
-) -> Tiling:
-    """Greedy decomposition of a critical piece into maximal sub-pieces that
-    map univalently to a fixed level L (cases 2 and 3; case 1 is trivial and
-    handled before a lamination exists)."""
-    if case is None:
-        case = classify_case(lam.p, lam.q, lam.theta_v, depth=min(lam.depth, 8), lam=lam)
-    if case.kind == "TrivialCase1":
-        return trivial_tiling(case, piece.level)
-    if not is_critical(lam, piece):
-        raise ValueError("tile() wants the critical piece of its level in cases 2/3")
+def case3_level(lam: Lamination, budget: int) -> tuple[int, tuple[int, int], int]:
+    """(N, (N1, N2), L): the first nondegenerate critical annulus A_N(0), its
+    fraternal descendants, and L = max(N1, N2) + 3."""
+    N = first_nondegenerate(lam, budget)
+    fraternal = fraternal_descendants(lam, N, budget)
+    return N, fraternal, max(fraternal) + 3
 
+
+def tile(lam: Lamination, level: int, max_tile_level: int, search_budget: int = 24) -> Tiling:
+    """Greedy decomposition of the level-n critical piece into maximal
+    sub-pieces that map univalently to level L (tau <= L); any other child is
+    cut again below max_tile_level and counted as unresolved from it on.  L is
+    the orbit-free level in case 2 and max(N1, N2) + 3 in case 3; case 1 is
+    the trivial tiling."""
+    case = classify_case(lam.p, lam.q, lam.theta_v, depth=min(lam.depth, 10), lam=lam)
+    if case.kind == "TrivialCase1":
+        return trivial_tiling(case, level)
+    piece = critical_piece(lam, level)
+    N = fraternal = None
     if case.kind == "PresumedNonRecurrent":
         L = case2_level(lam, search_budget)
-        if piece.level <= L:
-            raise ValueError(f"piece level must exceed L={L}")
-        tiles: list[PieceRef] = []
-        outer = piece
-        for k in range(piece.level + 1, max_tile_level + 1):
-            subs = sub_pieces(lam, outer)
-            crit = [s for s in subs if is_critical(lam, s)]
-            if len(crit) != 1:
-                raise YoccozError("critical piece must have exactly one critical child")
-            tiles.extend(s for s in subs if s != crit[0])
-            outer = crit[0]
-        return Tiling(case, L, piece, tiles, (piece.level, L), unresolved=1,
-                      max_tile_level=max_tile_level)
-
-    # Recurrent: L = max(N1, N2) + 3 over fraternal descendants of the first
-    # nondegenerate critical annulus.
-    N = first_nondegenerate(lam, search_budget)
-    n1, n2 = fraternal_descendants(lam, N, search_budget)
-    L = max(n1, n2) + 3
-    if piece.level <= L:
+    else:
+        N, fraternal, L = case3_level(lam, search_budget)
+    if level <= L:
         raise ValueError(f"piece level must exceed L={L}")
     tiles = []
     unresolved = 0
@@ -155,8 +139,8 @@ def tile(
                 queue.append(sub)
             else:
                 unresolved += 1
-    return Tiling(case, L, piece, tiles, (piece.level, L), unresolved, max_tile_level,
-                  base_level=N, fraternal=(n1, n2))
+    return Tiling(case, L, piece, tiles, (level, L), unresolved, max_tile_level,
+                  base_level=N, fraternal=fraternal)
 
 
 # ------------------------------------------------------------- residual set

@@ -186,8 +186,8 @@ def test_acceptance_05_tiling_trichotomy():
 
     # case 3 fixture
     lam = build(1, 2, CASE3_THETA, 8)
-    piece = pz.critical_piece(lam, CASE3_P)
-    tiling = tl.tile(lam, piece, max_tile_level=CASE3_P + 6)
+    tiling = tl.tile(lam, CASE3_P, max_tile_level=CASE3_P + 6)
+    piece = tiling.piece
     assert (tiling.base_level, tiling.fraternal, tiling.L) == (CASE3_N, CASE3_FRATERNAL, CASE3_L)
 
     for i, a in enumerate(tiling.tiles):

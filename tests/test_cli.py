@@ -181,6 +181,41 @@ def test_tile_case3(tmp_path):
     assert rep["tiles"] and all(t["level"] <= 19 for t in rep["tiles"])
 
 
+def test_tile_evidence_depth_is_the_cli_one(tmp_path):
+    """Library and CLI classify a lamination at the same evidence depth."""
+    from yoccoz.angles import normalize
+    from yoccoz.lamination import build
+    from yoccoz.tiling import tile
+
+    lam = str(tmp_path / "lam12.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "12", "--out", lam], tmp_path)[0] == 0
+    code, out = run_cli(["tile", "--lam", lam, "--level", "15", "--max-tile-level", "16"],
+                        tmp_path)
+    assert code == 0
+    t = tile(build(1, 2, normalize(222, 511), 12), 15, max_tile_level=16)
+    assert t.case.evidence_depth == json.loads(out)["evidence"] == 10
+
+
+def test_tile_max_tile_level_zero_is_used(tmp_path):
+    """A given --max-tile-level 0 is not the config's 24: the level-5 piece
+    of 3/8 is cut once."""
+    code, out = run_cli(["tile", "--p", "1", "--q", "2", "--theta-v", "3/8", "--level", "5",
+                         "--max-tile-level", "0"], tmp_path)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["max_tile_level"] == 0 and rep["unresolved"] == 1
+    assert rep["tiles"] and all(t["level"] == 6 for t in rep["tiles"])
+
+
+def test_renorm_budget_zero_is_used(lam_json, tmp_path):
+    """A given --budget 0 is not the config's 30: no period is searched."""
+    code, out = run_cli(["renorm", "--lam", lam_json, "--budget", "0"], tmp_path)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["budget"] == 0 and not rep["renormalizable"]
+
+
 def test_renorm_and_tune(lam_json, tmp_path):
     code, out = run_cli(["renorm", "--lam", lam_json, "--budget", "16"], tmp_path)
     assert code == 0

@@ -8,6 +8,7 @@ from yoccoz.lamination import build
 from yoccoz import puzzle as pz
 from yoccoz import tiling as tl
 
+import tiling_oracle as oracle
 from fixtures import (
     CASE1_THETA,
     CASE3_FRATERNAL,
@@ -16,6 +17,7 @@ from fixtures import (
     CASE3_P,
     CASE3_THETA,
     MISIUREWICZ_THETA,
+    RABBIT_WAKE_THETA,
     RESIDUAL_ANGLES,
     SATELLITE_THETA,
 )
@@ -28,8 +30,7 @@ def lam3():
 
 @pytest.fixture(scope="module")
 def tiling3(lam3):
-    piece = pz.critical_piece(lam3, CASE3_P)
-    return tl.tile(lam3, piece, max_tile_level=CASE3_P + 6)
+    return tl.tile(lam3, CASE3_P, max_tile_level=CASE3_P + 6)
 
 
 def test_classify_cases():
@@ -51,8 +52,7 @@ def test_trivial_tiling():
 def test_case2_tiling():
     lam = build(1, 2, MISIUREWICZ_THETA, 8)
     L = tl.case2_level(lam, 16)
-    piece = pz.critical_piece(lam, L + 1)
-    t = tl.tile(lam, piece, max_tile_level=L + 5)
+    t = tl.tile(lam, L + 1, max_tile_level=L + 5)
     assert t.case.kind == "PresumedNonRecurrent"
     assert t.L == L
     # tiles are the level-k pieces inside A_{k-1}(0), none critical, and none
@@ -61,6 +61,36 @@ def test_case2_tiling():
         assert not pz.is_critical(lam, tile)
         assert tl.univalent_to_level(lam, tile, L)
         assert lam.same_gap(tile.level - 1, tile.probe, lam.critical_leaf[0])
+
+
+# case-2 fixtures: 3/8 and 7/16 in the 1/2 limb, 3/14 in the 1/3 limb
+CASE2_FIXTURES = [(2, MISIUREWICZ_THETA), (2, normalize(7, 16)), (3, RABBIT_WAKE_THETA)]
+
+
+@pytest.mark.parametrize("q, theta_v", CASE2_FIXTURES, ids=lambda v: str(v))
+def test_case2_tiling_matches_critical_chain_oracle(q, theta_v):
+    """In case 2 the greedy descent queues only the critical chain: the same
+    tiles in the same order, and one unresolved piece, as the walk down it."""
+    lam = build(1, q, theta_v, 8)
+    L = tl.case2_level(lam, 24)
+    for level in range(L + 1, L + 4):
+        for max_level in range(level + 1, level + 4):
+            t = tl.tile(lam, level, max_tile_level=max_level)
+            assert t.case.kind == "PresumedNonRecurrent" and t.L == L
+            assert (t.tiles, t.unresolved) == oracle.case2_tiles(lam, level, max_level)
+
+
+@pytest.mark.parametrize("q, theta_v", CASE2_FIXTURES, ids=lambda v: str(v))
+def test_case2_tiling_at_the_level_cap_cuts_once(q, theta_v):
+    """A piece at or past max_tile_level is still cut once: its non-critical
+    children are the tiles and its critical child is unresolved."""
+    lam = build(1, q, theta_v, 8)
+    L = tl.case2_level(lam, 24)
+    for level, max_level in ((L + 1, L + 1), (L + 3, L + 1), (L + 2, 0)):
+        t = tl.tile(lam, level, max_tile_level=max_level)
+        children = pz.sub_pieces(lam, pz.critical_piece(lam, level))
+        assert t.tiles == [s for s in children if not pz.is_critical(lam, s)]
+        assert t.unresolved == 1
 
 
 def test_case3_fixture_parameters(lam3, tiling3):
