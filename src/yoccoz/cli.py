@@ -189,6 +189,8 @@ def cmd_certify(args, cfg):
     if args.depth < 0:
         raise ValueError("depth must be >= 0")
     N, fr, L = case3_level(lam, cfg.search_budget)
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     thetas = [CRITICAL]
     if args.samples > 1:
         p = L + 1
@@ -317,6 +319,8 @@ def cmd_qc(args, cfg):
                       distinct_dilatations=sorted(set(round(d, 12) for d in dil))), args.out)
     elif args.what == "diamond":
         n = args.grid
+        if n < 1:
+            raise ValueError("grid must be >= 1")
         worst, where = 0.0, None
         for i in range(-n + 1, n):  # diamond tips excluded: zero-size fibers
             x = i / n

@@ -379,8 +379,11 @@ class Lamination:
             cells += len(slots)
         return out, cells
 
-    def _separation(self, level: int, u: Angle, w: Angle):
-        """min(L(u, w), level + 1)."""
+    def separation(self, level: int, u: Angle, w: Angle) -> int:
+        """min(L(u, w), level + 1) for the separation level L(u, w), the least
+        level at which u and w lie in different pieces (neither may be a
+        vertex at this level)."""
+        self.guard_level(level, u, w)
         cap = level + 1
         # walk the pair's orbits to their first sector split; every leaf
         # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
@@ -431,12 +434,8 @@ class Lamination:
 
     def same_gap(self, level: int, u: Angle, w: Angle) -> bool:
         """True iff no polygon of depth <= level separates u from w on the circle,
-        i.e. the separation level L(u, w) exceeds level.
-
-        Both angles must be non-vertices at this level.
-        """
-        self.guard_level(level, u, w)
-        return self._separation(level, u, w) > level
+        i.e. the separation level L(u, w) exceeds level."""
+        return self.separation(level, u, w) > level
 
     def gap_is_critical(self, level: int, theta: Angle) -> bool:
         """The level gap of theta contains the critical leaf."""

@@ -131,6 +131,8 @@ def _midpoint(u: int, w: int, den: int) -> Angle:
 
 def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
     """All pieces of one level, by recursive subdivision of the level-0 sectors."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
     cyc = lam.layers[0][0]  # the cycle numerators over D_0
     den = lam.layer_den(0)
     pieces = [piece_of(lam, 0, _midpoint(u, w, den)) for u, w in zip(cyc, cyc[1:] + cyc[:1])]

@@ -284,6 +284,8 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
 
     giving ||f~||^2 <= (25 + 25 + 4*25 + 1) ||f||^2 = 151 ||f||^2.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     h, xs = _strip_grid(T, ny)
     ys = np.linspace(0.0, math.pi, ny)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .angles import Angle
 from .errors import Case1DegenerateError, NotFoundWithinBudgetError
@@ -233,7 +234,9 @@ class CertificateReport:
 def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> CertificateReport:
     """Check the structure the removability argument consumes: same-angle
     annuli strictly nested, cross-angle annuli disjoint (the intersection
-    trichotomy), and no annulus closure holding a certified residual angle."""
+    trichotomy), and no annulus closure holding a certified residual angle.
+    Both cross-angle checks read s = L(z, w): A_n(z) and A_l(w), n <= l, meet
+    iff s = n + 1, and w lies in A_n(z) iff s = n + 1."""
     violations: list[str] = []
     counts: dict[str, dict[int, int]] = {}
     for e in cert.entries:
@@ -245,44 +248,35 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
             cc[a.cls] = cc.get(a.cls, 0) + 1
         counts[str(e.theta)] = cc
 
-    for i, e1 in enumerate(cert.entries):
-        z = query_angle(lam, e1.theta)
-        for e2 in cert.entries[i + 1:]:
-            w = query_angle(lam, e2.theta)
-            if z == w:
-                continue
-            for a1 in e1.annuli:
-                for a2 in e2.annuli:
-                    n, l = sorted((a1.n, a2.n))
-                    zz, ww = (z, w) if a1.n <= a2.n else (w, z)
-                    if not lam.same_gap(n, zz, ww):
-                        continue  # disjoint outer pieces
-                    if lam.same_gap(n + 1, zz, ww):
-                        continue  # same annulus (n == l) or nested inside the inner piece
-                    if n == l:
-                        violations.append(
-                            f"annuli A_{a1.n}({e1.theta}) and A_{a2.n}({e2.theta}) intersect"
-                        )
-                    else:
-                        violations.append(
-                            f"A_{l} of one angle sits inside A_{n} of the other "
-                            f"({e1.theta} vs {e2.theta})"
-                        )
+    # s = min(L, M + 2) for the pair's top annulus level M decides every n <= M
+    seps: dict[tuple[int, int], int] = {}
+    for (i, e1), (j, e2) in combinations(enumerate(cert.entries), 2):
+        z, w = query_angle(lam, e1.theta), query_angle(lam, e2.theta)
+        levels = sorted(a.n for a in e1.annuli + e2.annuli)
+        if z == w or not levels:
+            continue
+        if levels[0] < 0:  # each annulus level is a query level
+            raise ValueError("level must be >= 0")
+        M = levels[-1]
+        if all(a.n < M for a in e1.annuli):
+            z, w = w, z  # separation checks u's own orbit to the level: u holds A_M
+        if (s := lam.separation(M, z, w)) > M:
+            s = lam.separation(M + 1, z, w)
+        seps[i, j] = seps[j, i] = s
+        for a1, a2 in product(e1.annuli, e2.annuli):
+            n, l = sorted((a1.n, a2.n))
+            if s != n + 1:
+                continue  # disjoint outer pieces, or nested inside the inner piece
+            if n == l:
+                violations.append(f"annuli A_{a1.n}({e1.theta}) and A_{a2.n}({e2.theta}) intersect")
+            else:
+                violations.append(f"A_{l} of one angle sits inside A_{n} of the other "
+                                  f"({e1.theta} vs {e2.theta})")
 
     # Lemma burp: no listed annulus closure contains a certified residual angle.
-    for e1 in cert.entries:
-        z = query_angle(lam, e1.theta)
-        for e2 in cert.entries:
-            if e1 is e2:
-                continue
-            w = query_angle(lam, e2.theta)
-            if z == w:
-                continue
-            for a in e1.annuli:
-                if lam.same_gap(a.n, z, w) and not lam.same_gap(a.n + 1, z, w):
-                    violations.append(
-                        f"closure of A_{a.n}({e1.theta}) contains certified angle {e2.theta}"
-                    )
+    for (i, e1), (j, e2) in product(enumerate(cert.entries), repeat=2):
+        violations += [f"closure of A_{a.n}({e1.theta}) contains certified angle {e2.theta}"
+                       for a in e1.annuli if seps.get((i, j)) == a.n + 1]
 
     cert.disjointness_checked = True
     warning = "" if any(e.annuli for e in cert.entries) else "empty certificate: vacuous pass"

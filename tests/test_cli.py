@@ -382,6 +382,34 @@ def test_certify_command(tmp_path):
     assert rep["ok"] and rep["base_level"] == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["qc", "diamond", "--grid", "0"], ["qc", "diamond", "--grid", "-4"],
+    ["sobolev", "verify", "--trials", "0"], ["sobolev", "verify", "--trials", "-2"],
+    ["certify", "--samples", "0"], ["certify", "--samples", "-3"],
+])
+def test_count_flags_below_one_exit_1(tmp_path, args):
+    """A count below 1 would report on nothing: no diamond grid point, no
+    trial, or CRITICAL certified alone."""
+    if args[0] == "certify":
+        lam = str(tmp_path / "lam9.json")
+        assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                        "--depth", "8", "--out", lam], tmp_path)[0] == 0
+        args = args[:1] + ["--lam", lam] + args[1:]
+    code, out = run_cli(args, tmp_path)
+    flag = args[-2].lstrip("-")
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": f"{flag} must be >= 1"}
+
+
+def test_render_negative_level_exits_1(tmp_path, lam_json):
+    out_path = tmp_path / "fig.svg"
+    code, out = run_cli(["render", "--lam", lam_json, "--c=-1,0", "--level", "-1",
+                         "--out", str(out_path)], tmp_path)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "level must be >= 0"}
+    assert not out_path.exists()
+
+
 def test_render_writes_svg(tmp_path, lam_json):
     out_path = str(tmp_path / "fig.svg")
     code, _ = run_cli(

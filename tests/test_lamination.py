@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from yoccoz.angles import double, normalize
+from yoccoz.angles import double, from_fraction, normalize
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError, NeedsDeeperLaminationError
 from yoccoz.lamination import (
     RayPairRelation,
@@ -206,6 +206,36 @@ def test_separation_levels_match_recursion_oracle(pq, theta):
         for b in special:
             for level in range(0, 61, 7):
                 assert lam.same_gap(level, a, b) == oracle.same_gap(level, a, b)
+
+
+@pytest.mark.parametrize("pq,theta", [((1, 2), CASE3_THETA), ((1, 2), MISIUREWICZ_THETA),
+                                      ((1, 3), RABBIT_WAKE_THETA)])
+def test_separation_caps_and_decides_same_gap(pq, theta):
+    """separation(k, u, w) = min(separation(K, u, w), k + 1) for every k <= K,
+    and same_gap(k, u, w) is separation(k, u, w) > k, on seeded pairs that
+    share up to 60 leading binary digits, so their separation levels run from
+    0 past the cap."""
+    lam = build(*pq, theta, 6)
+    rng = random.Random(47)
+    special = [lam.critical_leaf[0]] + list(lam.critical_orbit)
+    K, tops, pairs = 40, set(), 0
+    while pairs < 100 or len(tops) < 12 or K + 1 not in tops:
+        if rng.random() < 0.3:
+            u = rng.choice(special)
+        else:
+            den = rng.randrange(5, 10**5) | 1
+            u = normalize(rng.randrange(1, den), den)
+        shift = Fraction(rng.randrange(1, 1024), 1 << rng.randrange(10, 70))
+        w = from_fraction((u.frac + shift) % 1)
+        if lam.is_vertex(u, K + 1) or lam.is_vertex(w, K + 1):
+            continue
+        top = lam.separation(K, u, w)
+        for k in range(K + 1):
+            s = lam.separation(k, u, w)
+            assert s == min(top, k + 1), (k, u, w)
+            assert lam.same_gap(k, u, w) == (s > k), (k, u, w)
+        tops.add(top)
+        pairs += 1
 
 
 @pytest.mark.parametrize("pq,theta", [((1, 2), CASE3_THETA), ((1, 2), MISIUREWICZ_THETA),

@@ -40,6 +40,18 @@ def test_piece_of_boundary_error(lam):
         pz.piece_of(lam, 0, normalize(1, 3))
 
 
+def test_negative_levels_have_no_pieces(lam):
+    """Level -1 is refused, not drawn as level 0: range(-1) would run no
+    subdivision and return the level-0 pieces."""
+    from yoccoz.geometry import piece_diameters
+
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        pz.enumerate_pieces(lam, -1)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        piece_diameters(-1, lam, -1)
+    assert len(pz.enumerate_pieces(lam, 0)) == 2
+
+
 def test_piece_nesting(lam):
     random.seed(5)
     pairs = 0

@@ -1,13 +1,16 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from yoccoz.angles import arc_length, from_fraction, normalize
+from yoccoz.errors import YoccozError
 from yoccoz.lamination import build
 from yoccoz import puzzle as pz
 from yoccoz import tiling as tl
 
+import certificate_oracle as cert_oracle
 import tiling_oracle as oracle
 from fixtures import (
     CASE1_THETA,
@@ -21,6 +24,7 @@ from fixtures import (
     RESIDUAL_ANGLES,
     SATELLITE_THETA,
 )
+from test_lamination_layers import late_landing
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +292,106 @@ def test_empty_certificate_vacuous_pass(lam3):
                                  entries=[tl.CertificateEntry(pz.CRITICAL, [])])
     rep = tl.verify_certificate(lam3, cert)
     assert rep.ok and rep.warning
+
+
+def outcome(verify, lam, cert):
+    """One verifier's report as comparable values, or its error's type and
+    message."""
+    try:
+        rep = verify(lam, copy.deepcopy(cert))
+    except (YoccozError, ValueError) as exc:
+        return "error", type(exc).__name__, str(exc)
+    return "report", rep.ok, rep.violations, rep.class_counts, rep.warning
+
+
+MESSAGE_KINDS = {"duplicate", "intersect", "inside", "closure"}
+
+
+def test_certificate_matches_two_walk_oracle(lam3):
+    """Seeded certificates on the case-3 fixture, CRITICAL plus residual angles
+    at depths 16-45, corrupted as in test_certificate_detects_corruption: a
+    duplicated annulus, a foreign angle of the level-12, 20 or 26 critical
+    ring with its ring-level annulus (vertices included), a repeated entry or
+    a negative level.  Separation levels give the two-walk oracle's
+    violations in its order, its class counts and its errors."""
+    fr = pz.fraternal_descendants(lam3, CASE3_N, 20)
+    ring = [(k, from_fraction((a.frac + arc_length((a, b)) * Fraction(m, 40)) % 1))
+            for k in (12, 20, 26) for a, b in pz.critical_piece(lam3, k).boundary
+            for m in range(1, 40)]
+    rng = random.Random(17)
+    built: dict = {}
+    kinds, errors = set(), 0
+    for _ in range(320):
+        depth = rng.randrange(16, 46)
+        thetas = [pz.CRITICAL] + rng.sample(RESIDUAL_ANGLES, rng.randrange(4))
+        key = depth, tuple(map(str, thetas))
+        if key not in built:
+            built[key] = tl.build_certificate(lam3, CASE3_N, fr, thetas, depth)
+        cert = copy.deepcopy(built[key])
+        entries = cert.entries
+        for _ in range(rng.randrange(4)):
+            e, kind = rng.choice(entries), rng.randrange(4)
+            if kind == 0 and e.annuli:
+                e.annuli.append(rng.choice(e.annuli))
+            elif kind == 1:
+                k, t = rng.choice(ring)
+                entries.insert(rng.randrange(len(entries) + 1),
+                               tl.CertificateEntry(t, [tl.AnnulusRecord(k, k, k)]))
+            elif kind == 2:
+                entries.insert(rng.randrange(len(entries) + 1),
+                               tl.CertificateEntry(e.theta, list(e.annuli)))
+            elif kind == 3 and e.annuli and rng.random() < 0.2:
+                rng.choice(e.annuli).n = -1
+        got = outcome(tl.verify_certificate, lam3, cert)
+        assert got == outcome(cert_oracle.verify_certificate, lam3, cert)
+        if got[0] == "report":
+            kinds |= {k for v in got[2] for k in MESSAGE_KINDS if k in v}
+        errors += got[0] == "error"
+    assert kinds == MESSAGE_KINDS
+    assert errors
+
+
+def test_certificate_matches_two_walk_oracle_on_late_landing():
+    """theta_v meets the cycle after 8 doublings: annuli at levels around 8
+    and critical-orbit angles hit the late-landing guard as in the two-walk
+    oracle, and the queries below it give the same violations."""
+    lam = build(1, 2, late_landing(1, 2, 8)[0], 7)
+    rng = random.Random(5)
+    pool = [pz.CRITICAL] + list(lam.critical_orbit)
+    while len(pool) < 16:
+        den = rng.randrange(5, 10**4) | 1
+        t = normalize(rng.randrange(1, den), den)
+        if not lam.is_vertex(t, 12):
+            pool.append(t)
+    seen = set()
+    for _ in range(120):
+        cert = tl.AnnulusCertificate(CASE3_N, CASE3_FRATERNAL, 10, [
+            tl.CertificateEntry(t, [tl.AnnulusRecord(n, n, n)
+                                    for n in sorted(rng.sample(range(10), rng.randrange(3)))])
+            for t in rng.sample(pool, rng.randrange(1, 5))])
+        got = outcome(tl.verify_certificate, lam, cert)
+        assert got == outcome(cert_oracle.verify_certificate, lam, cert)
+        seen.add(got[1] if got[0] == "error" else bool(got[2]))
+    assert seen == {"Case1DegenerateError", True, False}
+
+
+def test_certificate_reads_two_separations_per_pair_at_most(lam3, monkeypatch):
+    """Each pair of the four distinct angles costs at most two separation
+    reads, and no same_gap walk is left."""
+    fr = pz.fraternal_descendants(lam3, CASE3_N, 20)
+    cert = tl.build_certificate(lam3, CASE3_N, fr, [pz.CRITICAL] + RESIDUAL_ANGLES, depth=45)
+    reads: dict = {}
+    separation = type(lam3).separation
+
+    def counting(self, level, u, w):
+        key = frozenset((u, w))
+        reads[key] = reads.get(key, 0) + 1
+        return separation(self, level, u, w)
+
+    def no_walk(*args):
+        raise AssertionError("same_gap called")
+
+    monkeypatch.setattr(type(lam3), "separation", counting)
+    monkeypatch.setattr(type(lam3), "same_gap", no_walk)
+    assert tl.verify_certificate(lam3, cert).ok
+    assert len(reads) == 6 and max(reads.values()) <= 2
