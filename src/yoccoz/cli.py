@@ -139,6 +139,8 @@ def cmd_descendants(args, cfg):
     from .puzzle import descendant_levels, first_nondegenerate, fraternal_descendants
 
     lam = _load_lam(args.lam)
+    if args.budget < 0:
+        raise ValueError("budget must be >= 0")
     level = args.level if args.level is not None else first_nondegenerate(lam, args.budget)
     levels = descendant_levels(lam, level, args.budget)
     payload = {"base_level": level, "budget": args.budget,
@@ -235,7 +237,10 @@ def cmd_renorm(args, cfg):
     from .renorm import detect
 
     lam = _load_lam(args.lam)
-    rep = detect(lam, cfg.renorm_budget if args.budget is None else args.budget)
+    budget = cfg.renorm_budget if args.budget is None else args.budget
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    rep = detect(lam, budget)
     _emit(_report(cfg, renormalizable=rep.renormalizable, period=rep.period,
                   witness_level=rep.witness_level, kind=rep.kind, budget=rep.budget), args.out)
 

@@ -26,7 +26,7 @@ from .errors import (
     OnBoundaryError,
     OrbitHitsAlphaError,
 )
-from .lamination import Arc, Lamination, Orbit
+from .lamination import Arc, Lamination
 
 CRITICAL = "CRITICAL"  # sentinel query point: the critical leaf
 
@@ -144,24 +144,17 @@ def enumerate_pieces(lam: Lamination, level: int) -> list[PieceRef]:
 # ------------------------------------------------------------------ tau
 
 
-def _orbit_guard(rec: Orbit):
-    """piece_of must be defined along the forward orbit up to the record's
-    level: equivalent to the orbit missing the alpha cycle that long."""
-    if rec.hit is not None:
-        raise OrbitHitsAlphaError(
-            f"the orbit of {rec.theta} meets the alpha cycle within {rec.level} steps")
-
-
 def tau(lam: Lamination, n: int, theta) -> int:
     """tau(n, z) per the unique-m definition; -1 when no image is critical."""
-    return tau_sequence(lam, theta, n)[-1]
+    return tau_sequence(lam, theta, n, start=n)[0]
 
 
-def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0,
-                 orbit: Orbit | None = None) -> list[int]:
+def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int]:
     """tau along n = start..n_max in closed form from the leaf levels
-    l_j = L(2^j theta, leaf) of theta's orbit record to n_max (``orbit``, if
-    the caller has it): tau(n) = n - min{j <= n : l_j + j > n}.
+    l_j = L(2^j theta, leaf) of theta's orbit record to n_max:
+    tau(n) = n - min{j <= n : l_j + j > n}.  A vertex raises
+    OrbitHitsAlphaError (piece_of must be defined along the orbit), and
+    tau(start) = start iff theta lies in the level-start critical piece.
 
     The least such j never decreases with n, so one pointer walks the orbit
     once.  The level n - j it tests first is the highest it reads, and it
@@ -170,8 +163,10 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0,
         raise ValueError("n must be >= 0")
     if theta == CRITICAL:
         return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
-    rec = lam.orbit(theta, n_max) if orbit is None else orbit
-    _orbit_guard(rec)
+    rec = lam.orbit(theta, n_max)
+    if rec.hit is not None:
+        raise OrbitHitsAlphaError(
+            f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
     reach = [j + lv for j, lv in enumerate(rec.leaf)]
     values: list[int] = []
     j = 0
@@ -199,16 +194,15 @@ def annulus_degenerate(lam: Lamination, n: int) -> bool:
     return _degenerate(critical_piece(lam, n).arcs, critical_piece(lam, n + 1).arcs)
 
 
-def first_nondegenerate(lam: Lamination, budget: int | None = None) -> int:
-    """Least n with A_n(0) nondegenerate, walking the critical pieces upward."""
-    limit = budget if budget is not None else max(lam.depth - 1, 1)
+def first_nondegenerate(lam: Lamination, budget: int) -> int:
+    """Least n <= budget with A_n(0) nondegenerate, walking the critical pieces upward."""
     outer = critical_piece(lam, 0).arcs
-    for n in range(limit + 1):
+    for n in range(budget + 1):
         inner = critical_piece(lam, n + 1).arcs
         if not _degenerate(outer, inner):
             return n
         outer = inner
-    raise NeedsDeeperLaminationError(limit, f"no nondegenerate critical annulus up to {limit}")
+    raise NeedsDeeperLaminationError(budget, f"no nondegenerate critical annulus up to {budget}")
 
 
 def descendant_check(lam: Lamination, m: int, n: int) -> tuple[bool, int]:

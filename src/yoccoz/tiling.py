@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .angles import Angle
-from .errors import Case1DegenerateError, NotFoundWithinBudgetError
+from .errors import Case1DegenerateError, NotFoundWithinBudgetError, OrbitHitsAlphaError
 from .lamination import Lamination, build
 from .puzzle import (
-    CRITICAL,
     PieceRef,
     critical_piece,
     descendant_check,
@@ -155,20 +154,17 @@ class ResidualStatus(enum.Enum):
 
 def residual_member(lam: Lamination, theta, p: int, L: int, depth: int) -> ResidualStatus:
     """R-membership to evidence depth: notR as soon as tau drops to L.  One
-    orbit record to depth answers the vertex test, membership in the level-p
-    critical piece (its leaf level at 0 exceeds p) and tau."""
+    tau sequence from p to depth answers the vertex test, membership in the
+    level-p critical piece (tau(p) = p) and the drop."""
     if depth < p:
         raise ValueError(f"depth {depth} tests no tau value of the level-{p} piece: "
                          f"it must be >= p = {p}")
-    rec = None
-    if theta != CRITICAL:
-        rec = lam.orbit(theta, depth)
-        if rec.hit is not None:
-            return ResidualStatus.ORBIT_HITS_ALPHA
-        lam.guard_level(p, theta, lam.critical_leaf[0])
-        if rec.leaf[0] <= p:
-            raise ValueError(f"{theta} is not in the level-{p} critical piece")
-    taus = tau_sequence(lam, theta, depth, start=p, orbit=rec)
+    try:
+        taus = tau_sequence(lam, theta, depth, start=p)
+    except OrbitHitsAlphaError:
+        return ResidualStatus.ORBIT_HITS_ALPHA
+    if taus[0] != p:
+        raise ValueError(f"{theta} is not in the level-{p} critical piece")
     if any(t <= L for t in taus):
         return ResidualStatus.NOT_R
     return ResidualStatus.IN_R_TO_DEPTH
@@ -201,21 +197,11 @@ def surrounding_annuli(lam: Lamination, theta, N: int, depth: int, start: int | 
     tau rises past (m, m+1) at (n, n+1) with A_m(0) a descendant of A_N(0)."""
     lo = N if start is None else start
     taus = tau_sequence(lam, theta, depth, start=lo)
-    out = []
-    desc_memo: dict[int, bool] = {}
-    for i in range(len(taus) - 1):
-        m, nxt = taus[i], taus[i + 1]
-        if m >= 0 and nxt == m + 1:
-            if m not in desc_memo:
-                if m == N:
-                    desc_memo[m] = True
-                elif m > N:
-                    desc_memo[m] = descendant_check(lam, m, N)[0]
-                else:
-                    desc_memo[m] = False
-            if desc_memo[m]:
-                out.append(AnnulusRecord(n=lo + i, tau_level=m, cls=m))
-    return out
+    rises = [(lo + i, m) for i, (m, nxt) in enumerate(zip(taus, taus[1:]))
+             if m >= N and nxt == m + 1]
+    classes = {m for m in dict.fromkeys(m for _, m in rises)
+               if m == N or descendant_check(lam, m, N)[0]}
+    return [AnnulusRecord(n=n, tau_level=m, cls=m) for n, m in rises if m in classes]
 
 
 def build_certificate(lam: Lamination, N: int, fraternal: tuple[int, int], thetas, depth: int) -> AnnulusCertificate:

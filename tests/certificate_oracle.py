@@ -8,10 +8,14 @@ asks the same of every annulus A_n(z) and every other certified angle w, over
 all ordered pairs of entries.  ``tiling.verify_certificate`` reads one
 separation level s = L(z, w) per pair of angles instead and tests s = n + 1;
 the tests check that both agree, errors included.
+
+``surrounding_annuli`` is the rise loop with a memo of descendant checks per
+tau level that ``tiling.surrounding_annuli`` replaced by one check per
+distinct rise level.
 """
 
-from yoccoz.puzzle import query_angle
-from yoccoz.tiling import CertificateReport
+from yoccoz.puzzle import descendant_check, query_angle, tau_sequence
+from yoccoz.tiling import AnnulusRecord, CertificateReport
 
 
 def verify_certificate(lam, cert):
@@ -69,3 +73,25 @@ def verify_certificate(lam, cert):
     warning = "" if any(e.annuli for e in cert.entries) else "empty certificate: vacuous pass"
     return CertificateReport(ok=not violations, violations=violations, class_counts=counts,
                              warning=warning)
+
+
+def surrounding_annuli(lam, theta, N: int, depth: int, start: int | None = None) -> list[AnnulusRecord]:
+    """Annuli A_n(theta) that are conformal copies of descendants of A_N(0):
+    tau rises past (m, m+1) at (n, n+1) with A_m(0) a descendant of A_N(0)."""
+    lo = N if start is None else start
+    taus = tau_sequence(lam, theta, depth, start=lo)
+    out = []
+    desc_memo: dict[int, bool] = {}
+    for i in range(len(taus) - 1):
+        m, nxt = taus[i], taus[i + 1]
+        if m >= 0 and nxt == m + 1:
+            if m not in desc_memo:
+                if m == N:
+                    desc_memo[m] = True
+                elif m > N:
+                    desc_memo[m] = descendant_check(lam, m, N)[0]
+                else:
+                    desc_memo[m] = False
+            if desc_memo[m]:
+                out.append(AnnulusRecord(n=lo + i, tau_level=m, cls=m))
+    return out

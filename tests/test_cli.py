@@ -401,6 +401,21 @@ def test_count_flags_below_one_exit_1(tmp_path, args):
     assert json.loads(out) == {"error": "ValueError", "message": f"{flag} must be >= 1"}
 
 
+@pytest.mark.parametrize("args", [["descendants", "--level", "3", "--budget", "-2"],
+                                  ["descendants", "--budget", "-2"],
+                                  ["renorm", "--budget", "-3"]])
+def test_negative_budget_exits_1(tmp_path, args):
+    """A negative budget searches nothing: without the check descendants
+    listed none and renorm called a period-9 renormalizable lamination not
+    renormalizable."""
+    lam = str(tmp_path / "lam9.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "8", "--out", lam], tmp_path)[0] == 0
+    code, out = run_cli(args[:1] + ["--lam", lam] + args[1:], tmp_path)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "budget must be >= 0"}
+
+
 def test_render_negative_level_exits_1(tmp_path, lam_json):
     out_path = tmp_path / "fig.svg"
     code, out = run_cli(["render", "--lam", lam_json, "--c=-1,0", "--level", "-1",

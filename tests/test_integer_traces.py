@@ -144,7 +144,7 @@ def test_slice_holes_match(pq, theta):
                                       ((1, 3), RABBIT_WAKE_THETA)])
 def test_annuli_match(pq, theta):
     lam = build(*pq, theta, 8)
-    for budget in (None, 5, 20):
+    for budget in (lam.depth - 1, 5, 20):
         assert outcome(pz.first_nondegenerate, lam, budget) == \
             outcome(oracle.first_nondegenerate, lam, budget)
     for n in range(21):
@@ -158,7 +158,7 @@ def test_first_nondegenerate_matches_on_late_landing(q):
     for steps in range(9, 13):
         for theta in late_landing(1, q, steps):
             lam = build(1, q, theta, 8)
-            for budget in (None, 5, 20):
+            for budget in (lam.depth - 1, 5, 20):
                 assert outcome(pz.first_nondegenerate, lam, budget) == \
                     outcome(oracle.first_nondegenerate, lam, budget), (theta, budget)
 

@@ -115,6 +115,7 @@ def test_tau_incremental_matches_direct(lam):
         except pz.OrbitHitsAlphaError:
             continue
         assert seq == [oracle.tau_direct(n, theta) for n in range(26)]
+        assert seq == [pz.tau(lam, n, theta) for n in range(26)]
         assert all(seq[i + 1] <= seq[i] + 1 for i in range(len(seq) - 1))
 
 

@@ -234,12 +234,111 @@ def test_bounded_tau_class_repetition_synthetic(lam3, monkeypatch):
         reps = synthetic + [20, 21] * n_max
         return reps[: n_max - start + 1]
 
+    checked = []
+
+    def counting(lam, m, n):
+        checked.append(m)
+        return pz.descendant_check(lam, m, n)
+
     monkeypatch.setattr(tl, "tau_sequence", fake_tau_sequence)
+    monkeypatch.setattr(tl, "descendant_check", counting)
     ann = tl.surrounding_annuli(lam3, pz.CRITICAL, CASE3_N, 60, start=15)
     counts = {}
     for a in ann:
         counts[a.cls] = counts.get(a.cls, 0) + 1
     assert max(counts.values()) > 5  # one class repeats with growing count
+    assert checked == list(range(15, 21))  # a level that rises again is checked once
+
+
+def annuli_outcome(surrounding, lam, theta, N, depth, start):
+    """One rise loop's records as tuples, or its error's type and message."""
+    try:
+        return [(a.n, a.tau_level, a.cls) for a in surrounding(lam, theta, N, depth, start)]
+    except (YoccozError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_surrounding_annuli_matches_memo_oracle(lam3):
+    """CRITICAL, the residual angles and angles of the level-12, 20 and 26
+    critical rings (vertices included) at depths 16-60 from N and from p:
+    the records and errors of the memoised loop."""
+    rng = random.Random(3)
+    ring = rng.sample([from_fraction((a.frac + arc_length((a, b)) * Fraction(m, 40)) % 1)
+                       for k in (12, 20, 26) for a, b in pz.critical_piece(lam3, k).boundary
+                       for m in range(1, 40)], 12)
+    seen = set()
+    for theta in [pz.CRITICAL] + RESIDUAL_ANGLES + ring:
+        for depth in range(16, 61):
+            for start in (None, CASE3_P):
+                got = annuli_outcome(tl.surrounding_annuli, lam3, theta, CASE3_N, depth, start)
+                assert got == annuli_outcome(cert_oracle.surrounding_annuli, lam3, theta,
+                                             CASE3_N, depth, start), (theta, depth, start)
+                seen.add(got[0] if isinstance(got, tuple) else bool(got))
+    assert seen == {"OrbitHitsAlphaError", True, False}
+
+
+def test_surrounding_annuli_matches_memo_oracle_on_late_landing():
+    """theta_v meets the cycle after 8 doublings: tau and the descendant
+    checks raise at the late-landing guard as in the memoised loop."""
+    lam = build(1, 2, late_landing(1, 2, 8)[0], 7)
+    rng = random.Random(8)
+    pool = [pz.CRITICAL] + list(lam.critical_orbit)
+    while len(pool) < 16:
+        den = rng.randrange(5, 10**4) | 1
+        pool.append(normalize(rng.randrange(1, den), den))
+    seen = set()
+    for theta in pool:
+        for N in (0, 1, 2):
+            for depth in range(N, 12):
+                for start in (None, N + 1):
+                    got = annuli_outcome(tl.surrounding_annuli, lam, theta, N, depth, start)
+                    assert got == annuli_outcome(cert_oracle.surrounding_annuli, lam, theta,
+                                                 N, depth, start), (theta, N, depth, start)
+                    seen.add(got[0] if isinstance(got, tuple) else bool(got))
+    assert {"Case1DegenerateError", "OrbitHitsAlphaError", True, False} <= seen
+
+
+def test_residual_member_builds_one_orbit_record(lam3, monkeypatch):
+    """One orbit record per angle, member or not, and none for CRITICAL."""
+    built = []
+    orbit = type(lam3).orbit
+
+    def counting(self, theta, level):
+        built.append(theta)
+        return orbit(self, theta, level)
+
+    monkeypatch.setattr(type(lam3), "orbit", counting)
+    assert tl.residual_member(lam3, pz.CRITICAL, CASE3_P, CASE3_L, 45) is \
+        tl.ResidualStatus.IN_R_TO_DEPTH
+    assert built == []
+    for theta in RESIDUAL_ANGLES:
+        built.clear()
+        tl.residual_member(lam3, theta, CASE3_P, CASE3_L, 45)
+        assert built == [theta]
+    built.clear()
+    outside = normalize(1, 2)  # the level-0 gap of 1/2 misses the critical leaf
+    with pytest.raises(ValueError, match="not in the level-15 critical piece"):
+        tl.residual_member(lam3, outside, CASE3_P, CASE3_L, 45)
+    assert built == [outside]
+
+
+def test_surrounding_annuli_checks_each_rise_level_once(lam3, monkeypatch):
+    """descendant_check runs once per distinct rise level above N, in the
+    order the levels first rise."""
+    calls = []
+
+    def counting(lam, m, n):
+        calls.append((m, n))
+        return pz.descendant_check(lam, m, n)
+
+    monkeypatch.setattr(tl, "descendant_check", counting)
+    for theta in [pz.CRITICAL] + RESIDUAL_ANGLES:
+        for start in (None, CASE3_P):
+            taus = pz.tau_sequence(lam3, theta, 55, start=CASE3_N if start is None else start)
+            rises = [m for m, nxt in zip(taus, taus[1:]) if nxt == m + 1 and m > CASE3_N]
+            calls.clear()
+            tl.surrounding_annuli(lam3, theta, CASE3_N, 55, start=start)
+            assert calls == [(m, CASE3_N) for m in dict.fromkeys(rises)]
 
 
 def test_certificate_roundtrip(lam3):
