@@ -17,7 +17,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isfinite
 
 from . import __version__
 from .angles import Angle, normalize
@@ -272,16 +272,23 @@ def _write_json_atomic(path: str, obj) -> None:
 _RAY_KEYS = {"c", "theta", "points", "residuals"}
 
 
-def _read_cached_ray(path: str) -> dict | None:
-    """The cached ray, or None on a miss: no file, or one that is not JSON or
-    not a ray (the ray is then traced again and written over it)."""
+def _read_cached_ray(path: str, c: str, theta: str) -> dict | None:
+    """The cached ray R(theta) of c, or None on a miss: no file, or one that
+    is not JSON or not that ray, with one residual per point of three finite
+    floats (the ray is then traced again and written over it)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if (isinstance(payload, dict) and payload.keys() == _RAY_KEYS
-            and isinstance(payload["points"], list) and isinstance(payload["residuals"], list)):
+    if not (isinstance(payload, dict) and payload.keys() == _RAY_KEYS
+            and payload["c"] == c and payload["theta"] == theta):
+        return None
+    points, residuals = payload["points"], payload["residuals"]
+    if (isinstance(points, list) and isinstance(residuals, list)
+            and len(points) == len(residuals)
+            and all(isinstance(p, list) and len(p) == 3
+                    and all(type(x) is float and isfinite(x) for x in p) for p in points)):
         return payload
     return None
 
@@ -296,7 +303,7 @@ def cmd_trace(args, cfg):
                                     ESCAPE_ITERS, cfg.pot_lo))
     cache_dir = cfg.resolved_cache_dir()
     cache_file = os.path.join(cache_dir, hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
-    payload = _read_cached_ray(cache_file)
+    payload = _read_cached_ray(cache_file, args.c, args.theta)
     if payload is None:
         ray = trace_ray(_complex(args.c), _angle(args.theta), pot_lo=cfg.pot_lo, cfg=cfg)
         payload = {"c": args.c, "theta": args.theta,

@@ -157,8 +157,9 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int
     tau(start) = start iff theta lies in the level-start critical piece.
 
     The least such j never decreases with n, so one pointer walks the orbit
-    once.  The level n - j it tests first is the highest it reads, and it
-    must exist in a late-landing lamination (guard_level)."""
+    once.  tau(n) is defined by the level-n pieces, so level n_max must exist
+    in a late-landing lamination (guard_level), checked after the cycle
+    hit, in the order tau raises."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
     if theta == CRITICAL:
@@ -167,12 +168,12 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int
     if rec.hit is not None:
         raise OrbitHitsAlphaError(
             f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
+    if start <= n_max:
+        lam.guard_level(n_max)
     reach = [j + lv for j, lv in enumerate(rec.leaf)]
     values: list[int] = []
     j = 0
     for n in range(start, n_max + 1):
-        if j <= n:
-            lam.guard_level(n - j)
         while j <= n and reach[j] <= n:
             j += 1
         values.append(n - j if j <= n else -1)

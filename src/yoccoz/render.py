@@ -80,6 +80,9 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     # level n at top / 2^n; level 0 at the level-1 potential, below top
     pot = top * 2.0 ** -max(level, 1)
     canvas = SvgCanvas()
+    # the piece count grows exponentially with the level: refuse an empty
+    # ray window before tracing the ring or enumerating the pieces
+    check_window(pot, RAY_FLOOR)
 
     n_samp = 256
     fan = trace_rays(c, [normalize(k, n_samp) for k in range(n_samp)],
@@ -87,9 +90,6 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     ring = [ray.points[-1][0] for ray in fan]
     canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
 
-    # the piece count grows exponentially with the level: refuse an empty
-    # ray window before enumerating the pieces
-    check_window(pot, RAY_FLOOR)
     pieces = enumerate_pieces(lam, level)
     annuli = [] if highlight_annulus is None else [
         (critical_piece(lam, lev), color)

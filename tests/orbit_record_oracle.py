@@ -141,12 +141,12 @@ def tau_sequence(lam, theta, n_max, start=0):
         return list(range(start, n_max + 1))
     if is_vertex(lam, theta, n_max):
         raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
+    if start <= n_max:
+        lam.guard_level(n_max)
     reach = [j + lv for j, lv in enumerate(orbit_leaf_levels(lam, theta, n_max))]
     values = []
     j = 0
     for n in range(start, n_max + 1):
-        if j <= n:
-            lam.guard_level(n - j)
         while j <= n and reach[j] <= n:
             j += 1
         values.append(n - j if j <= n else -1)

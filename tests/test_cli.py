@@ -277,8 +277,10 @@ def test_trace_cache_hit_echoes_current_config(tmp_path, monkeypatch):
 
 
 def test_trace_cache_recovers_from_a_corrupt_file(tmp_path, monkeypatch):
-    """A truncated or ill-shaped cache file is a miss: the ray is traced again
-    and a valid file written over it."""
+    """A truncated or ill-shaped cache file is a miss, and so is one of
+    another c or theta, with a residual count other than its point count, or
+    a point that is not three finite floats: the ray is traced again and a
+    valid file written over it."""
     ray = ["trace", "--c=-1,0", "--theta", "1/3"]
     monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "cold"))
     cold = run_cli(ray, tmp_path)
@@ -288,7 +290,18 @@ def test_trace_cache_recovers_from_a_corrupt_file(tmp_path, monkeypatch):
     assert run_cli(ray, tmp_path) == cold
     (path,) = cache.iterdir()
     good = path.read_text()
-    for bad in (good[:100], json.dumps({"c": "-1,0", "theta": "1/3"}), "[]", ""):
+    ray_of = json.loads(good)
+    others = ({"c": "0,0"}, {"theta": "1/7"}, {"points": [[1, 2]]},
+              {"c": "0,0", "theta": "1/7", "points": [[1, 2]]},
+              {"residuals": ray_of["residuals"][1:]}, {"points": ray_of["points"][:-1]},
+              {"points": [[1.0, 2.0]] + ray_of["points"][1:]},
+              {"points": [["1", 2.0, 3.0]] + ray_of["points"][1:]},
+              {"points": [[True, 2.0, 3.0]] + ray_of["points"][1:]},
+              {"points": [[float("nan"), 2.0, 3.0]] + ray_of["points"][1:]},
+              {"points": [[1.0, float("inf"), 3.0]] + ray_of["points"][1:]},
+              {"points": [None] + ray_of["points"][1:]})
+    for bad in (good[:100], json.dumps({"c": "-1,0", "theta": "1/3"}), "[]", "",
+                *(json.dumps({**ray_of, **other}) for other in others)):
         path.write_text(bad)
         assert run_cli(ray, tmp_path) == cold
         assert [p.name for p in cache.iterdir()] == [path.name]
@@ -305,8 +318,10 @@ def test_degenerate_strip_grid_exits_1(tmp_path):
 
 
 def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch, lam_json):
-    """render --level 13 puts the piece potential below the 1e-3 ray floor;
-    pot_lo = 10 lies above the log start_radius every ray starts from."""
+    """render --level 13 puts the piece potential below the 1e-3 ray floor,
+    which it refuses before tracing any ray, so before it finds a
+    disconnected c; pot_lo = 10 lies above the log start_radius every ray
+    starts from."""
     import contextlib
     import io
 
@@ -315,6 +330,8 @@ def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch, la
     cfgfile.write_text("pot_lo = 10\n")
     cases = (
         (["render", "--lam", lam_json, "--c=-1,0", "--level", "13",
+          "--out", str(tmp_path / "deep.svg")], "pot_hi = 0.000562155 and pot_lo = 0.001"),
+        (["render", "--lam", lam_json, "--c=1,0", "--level", "13",
           "--out", str(tmp_path / "deep.svg")], "pot_hi = 0.000562155 and pot_lo = 0.001"),
         (["--config", str(cfgfile), "trace", "--c=-1,0", "--theta", "1/3"],
          "pot_hi = 4.60517 and pot_lo = 10"),

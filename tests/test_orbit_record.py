@@ -16,7 +16,7 @@ from yoccoz import tiling as tl
 from yoccoz.angles import arc_point, normalize
 from yoccoz.errors import Case1DegenerateError, YoccozError
 from yoccoz.lamination import alpha_cycle, build
-from yoccoz.puzzle import CRITICAL, critical_piece, tau_sequence
+from yoccoz.puzzle import CRITICAL, critical_piece, tau, tau_sequence
 
 import orbit_record_oracle as oracle
 from fixtures import (AIRPLANE_THETA, CASE1_THETA, CASE1_THETA_SLOW, CASE3_L, CASE3_P,
@@ -78,6 +78,31 @@ def test_leaf_levels_and_tau_match_on_late_landing():
             for theta in probes(lam, 6, seed=15):
                 for n in LEVELS[:5]:
                     assert_record_matches(lam, theta, n)
+
+
+def test_tau_sequence_is_tau_at_every_level_on_late_landing():
+    """tau_sequence to n_max is [tau(n) for n in start..n_max] whenever every
+    tau(n) returns, and raises otherwise: past entry_step it raises
+    Case1DegenerateError, whichever level its pointer reads."""
+    lams = [build(p, q, t, 8) for p, q in ((1, 2), (1, 3)) for t in late_landing(p, q, 9)[:2]]
+    lams.append(build(1, 2, normalize(919, 1536), 8))
+    seen = set()
+    for lam in lams:
+        for theta in probes(lam, 6, seed=19) + [normalize(65, 553)]:
+            for n_max in range(lam.entry_step + 4):
+                for start in sorted({0, n_max // 2, n_max}):
+                    taus = [outcome(tau, lam, n, theta) for n in range(start, n_max + 1)]
+                    got = outcome(tau_sequence, lam, theta, n_max, start)
+                    if all(isinstance(t, int) for t in taus):
+                        assert got == taus, (lam.theta_v, theta, n_max, start)
+                    else:
+                        assert isinstance(got, tuple), (lam.theta_v, theta, n_max, start)
+                    seen.add(got[0] if isinstance(got, tuple) else "ok")
+    assert seen == {"ok", "Case1DegenerateError", "OrbitHitsAlphaError"}
+    lam = build(1, 2, normalize(919, 1536), 8)
+    assert lam.entry_step == 9
+    with pytest.raises(Case1DegenerateError):
+        tau_sequence(lam, normalize(65, 553), 10)
 
 
 def test_leaf_levels_and_tau_match_on_long_orbit():
