@@ -130,18 +130,22 @@ def strip_kernel(i: int, j: int):
 
 def _pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float) -> float:
     """I_ij: the (fi, fj) boundary-pair integral under the strip kernel, with
-    |r| up to 2T on a 120-node log grid."""
+    |r| up to 2T on a 120-node log grid.
+
+    All 240 signed r nodes are one (240, nx) array; each row sums alone and
+    the weighted row sums add up in node order, so the value is the float
+    the node-by-node loop (tests/sobolev_oracle.py) gives."""
     wt = np.gradient(fj.ts)
     kern = strip_kernel(i, j)
 
     def value(r_min):
         rs, wr = _r_quadrature(T, 120, r_min)
+        r = np.concatenate([rs, -rs])[:, None]
+        gs = np.interp(fj.ts + r, fi.ts, fi.values, left=fi.limit_neg, right=fi.limit_pos)
+        rows = ((gs - fj.values) ** 2 / kern(r) * wt).sum(axis=1)
         total = 0.0
-        for sign in (+1.0, -1.0):
-            for r, w in zip(sign * rs, wr):
-                gs = np.interp(fj.ts + r, fi.ts, fi.values,
-                               left=fi.limit_neg, right=fi.limit_pos)
-                total += w * float(((gs - fj.values) ** 2 / kern(r) * wt).sum())
+        for w, row in zip(np.concatenate([wr, wr]), rows):
+            total += w * float(row)
         return total
 
     if (i + j) % 2:

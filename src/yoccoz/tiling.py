@@ -13,9 +13,15 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .angles import Angle
-from .errors import Case1DegenerateError, NotFoundWithinBudgetError, OrbitHitsAlphaError
+from .errors import (
+    Case1DegenerateError,
+    NotFoundWithinBudgetError,
+    OnBoundaryError,
+    OrbitHitsAlphaError,
+)
 from .lamination import Lamination, build
 from .puzzle import (
+    CRITICAL,
     PieceRef,
     critical_piece,
     descendant_check,
@@ -222,7 +228,15 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
     annuli strictly nested, cross-angle annuli disjoint (the intersection
     trichotomy), and no annulus closure holding a certified residual angle.
     Both cross-angle checks read s = L(z, w): A_n(z) and A_l(w), n <= l, meet
-    iff s = n + 1, and w lies in A_n(z) iff s = n + 1."""
+    iff s = n + 1, and w lies in A_n(z) iff s = n + 1.
+
+    A certified angle other than CRITICAL whose orbit meets the alpha cycle
+    within cert.depth doublings is a polygon vertex, on the boundary of the
+    pieces its annuli are cut from: it is refused before any separation read."""
+    for e in cert.entries:
+        if e.theta != CRITICAL and lam.is_vertex(e.theta, cert.depth):
+            raise OnBoundaryError(f"certified angle {e.theta} is a polygon vertex "
+                                  f"at depth <= {cert.depth}")
     violations: list[str] = []
     counts: dict[str, dict[int, int]] = {}
     for e in cert.entries:

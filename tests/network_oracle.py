@@ -4,8 +4,10 @@ directly by SuperLU.
 It builds the free nodes' 5-point system by walking the four neighbour
 directions, solves it with ``spsolve``, and sums the squared differences over
 horizontal and vertical inside edges.  ``geometry.modulus_estimate`` forms the
-same system from the grid's edge-node incidence matrix and solves it by
-Jacobi-preconditioned CG; the tests check that both give the same modulus.
+same system from the grid's edge-node incidence matrix and solves it by CG
+preconditioned with a Galerkin V-cycle (damped-Jacobi smoothing, one
+``splu`` on at most 300 coarsest unknowns); the tests check that both give
+the same modulus.
 """
 
 import numpy as np

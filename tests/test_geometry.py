@@ -168,6 +168,51 @@ def test_modulus_is_one_cg_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def cg_calls(monkeypatch):
+    """Record each cg call's iteration count and preconditioner."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    cg = spla.cg
+
+    def counted(A, b, **kwargs):
+        calls.append({"iterations": 0, "M": kwargs["M"], "n": A.shape[0]})
+
+        def count(xk):
+            calls[-1]["iterations"] += 1
+
+        return cg(A, b, callback=count, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [g.round_annulus_mask, notched_disk_mask],
+                         ids=["round", "notched"])
+def test_modulus_cg_iterations_do_not_grow_with_the_mesh(monkeypatch, make):
+    """The V-cycle keeps CG at a handful of iterations while the unknowns
+    grow 16-fold."""
+    calls = cg_calls(monkeypatch)
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        g.modulus_estimate(make(1.0, math.e, h))
+    assert calls[-1]["n"] > 12 * calls[0]["n"]
+    assert len(calls) == 3 and all(c["iterations"] <= 12 for c in calls), calls
+
+
+@pytest.mark.parametrize("make", [g.round_annulus_mask, notched_disk_mask],
+                         ids=["round", "notched"])
+def test_modulus_v_cycle_is_symmetric(monkeypatch, make):
+    """CG needs a symmetric preconditioner: x . M(y) = y . M(x)."""
+    calls = cg_calls(monkeypatch)
+    g.modulus_estimate(make(1.0, math.e, 1 / 48))
+    (call,) = calls
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        x, y = rng.normal(size=(2, call["n"]))
+        a, b = x @ call["M"].matvec(y), y @ call["M"].matvec(x)
+        assert abs(a - b) <= 1e-12 * abs(a)
+
+
 def test_modulus_grotzsch_superadditive():
     """Concentric union's modulus is at least the sum of the pieces'."""
     h = 1 / 96
@@ -189,3 +234,21 @@ def test_modulus_invalid_regions():
 
     with pytest.raises(InvalidRegionError):
         g.round_annulus_mask(2.0, 1.0, 1 / 16)
+
+    with pytest.raises(InvalidRegionError):
+        g.round_annulus_mask(1.0, math.inf, 1 / 16)
+
+    for h in (0, 0.0, -1 / 16, math.nan, math.inf):
+        with pytest.raises(InvalidRegionError, match="grid step"):
+            g.round_annulus_mask(1.0, 2.0, h)
+
+    good = g.round_annulus_mask(1.0, math.e, 1 / 16)
+    for bad in (
+        dict(inner=good.inner[:-1]),  # shapes differ
+        dict(inside=good.inside.astype(int)),  # not boolean
+        dict(outer=good.outer.astype(float)),
+        dict(inside=good.inside.ravel(), inner=good.inner.ravel(), outer=good.outer.ravel()),
+    ):
+        mask = g.GridMask(**{**vars(good), **bad})
+        with pytest.raises(InvalidRegionError, match="2-D boolean arrays of one shape"):
+            g.modulus_estimate(mask)

@@ -7,6 +7,7 @@ from yoccoz.errors import NotFiniteEnergyError, YoccozError
 from yoccoz import qcmodel as qc
 from yoccoz import sobolev as sb
 
+from sobolev_oracle import pair_integral
 from sor_oracle import sor_extension_strip
 
 
@@ -108,6 +109,48 @@ def test_strip_iij_symmetry_and_divergence_guard():
 def test_i00_of_trace_is_strip_iij_i00():
     f = sb.BoundaryFn.from_callable(lambda t: math.tanh(t / 2) + 0.3 * math.sin(t), 12, 601)
     assert sb._i00_of_trace(f) == sb.strip_Iij(f, f)[0]
+
+
+def _seeded_boundary(rng, ts, kind):
+    """Boundary data on ts: smooth bumps, rough noise, or noise with a unit
+    jump across a gap of 1e-8 at a random abscissa (on which I00 and I11
+    diverge under refinement)."""
+    if kind == "jump":
+        cut = rng.uniform(-2, 2)
+        ts = np.sort(np.r_[ts, cut, cut + 1e-8])
+    if kind == "smooth":
+        v = sum(rng.normal() * np.exp(-((ts - rng.uniform(-3, 3)) / rng.uniform(0.3, 2)) ** 2)
+                for _ in range(3))
+    else:
+        v = 0.3 * rng.normal(size=len(ts))
+        if kind == "jump":
+            v += ts > cut
+    return sb.BoundaryFn(ts, v, float(v[0]), float(v[-1]))
+
+
+def _pair_outcome(integral, fi, fj, i, j, T):
+    try:
+        return "value", integral(fi, fj, i, j, T)
+    except YoccozError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_integral_matches_node_loop_oracle(seed):
+    """The batched r-quadrature gives the node-by-node loop's float for all
+    four (i, j), and its error where a jump makes the refinement diverge."""
+    rng = np.random.default_rng(seed)
+    T = rng.choice([4.0, 8.0])
+    ts = np.linspace(-T, T, int(rng.integers(101, 330)))
+    seen = set()
+    for kinds in (("smooth", "smooth"), ("rough", "smooth"), ("jump", "smooth"), ("jump", "jump")):
+        fs = [_seeded_boundary(rng, ts, k) for k in kinds]
+        for i in (0, 1):
+            for j in (0, 1):
+                got = _pair_outcome(sb._pair_integral, fs[i], fs[j], i, j, T)
+                assert got == _pair_outcome(pair_integral, fs[i], fs[j], i, j, T)
+                seen.add(got[0])
+    assert seen == {"value", "error"}
 
 
 def test_harmonic_extension_constant():

@@ -403,6 +403,17 @@ def outcome(verify, lam, cert):
     return "report", rep.ok, rep.violations, rep.class_counts, rep.warning
 
 
+def oracle_outcome(lam, cert):
+    """The two-walk oracle's outcome under the vertex rule: the first
+    non-CRITICAL entry whose orbit meets the alpha cycle within cert.depth
+    doublings is refused before any separation read."""
+    for e in cert.entries:
+        if e.theta != pz.CRITICAL and lam.is_vertex(e.theta, cert.depth):
+            return ("error", "OnBoundaryError",
+                    f"certified angle {e.theta} is a polygon vertex at depth <= {cert.depth}")
+    return outcome(cert_oracle.verify_certificate, lam, cert)
+
+
 MESSAGE_KINDS = {"duplicate", "intersect", "inside", "closure"}
 
 
@@ -442,7 +453,7 @@ def test_certificate_matches_two_walk_oracle(lam3):
             elif kind == 3 and e.annuli and rng.random() < 0.2:
                 rng.choice(e.annuli).n = -1
         got = outcome(tl.verify_certificate, lam3, cert)
-        assert got == outcome(cert_oracle.verify_certificate, lam3, cert)
+        assert got == oracle_outcome(lam3, cert)
         if got[0] == "report":
             kinds |= {k for v in got[2] for k in MESSAGE_KINDS if k in v}
         errors += got[0] == "error"
@@ -452,8 +463,9 @@ def test_certificate_matches_two_walk_oracle(lam3):
 
 def test_certificate_matches_two_walk_oracle_on_late_landing():
     """theta_v meets the cycle after 8 doublings: annuli at levels around 8
-    and critical-orbit angles hit the late-landing guard as in the two-walk
-    oracle, and the queries below it give the same violations."""
+    hit the late-landing guard as in the two-walk oracle, the critical-orbit
+    angles are vertices within the certificate depth and are refused, and the
+    queries below it give the same violations."""
     lam = build(1, 2, late_landing(1, 2, 8)[0], 7)
     rng = random.Random(5)
     pool = [pz.CRITICAL] + list(lam.critical_orbit)
@@ -469,9 +481,9 @@ def test_certificate_matches_two_walk_oracle_on_late_landing():
                                     for n in sorted(rng.sample(range(10), rng.randrange(3)))])
             for t in rng.sample(pool, rng.randrange(1, 5))])
         got = outcome(tl.verify_certificate, lam, cert)
-        assert got == outcome(cert_oracle.verify_certificate, lam, cert)
+        assert got == oracle_outcome(lam, cert)
         seen.add(got[1] if got[0] == "error" else bool(got[2]))
-    assert seen == {"Case1DegenerateError", True, False}
+    assert seen == {"Case1DegenerateError", "OnBoundaryError", True, False}
 
 
 def test_certificate_reads_two_separations_per_pair_at_most(lam3, monkeypatch):
@@ -494,3 +506,20 @@ def test_certificate_reads_two_separations_per_pair_at_most(lam3, monkeypatch):
     monkeypatch.setattr(type(lam3), "same_gap", no_walk)
     assert tl.verify_certificate(lam3, cert).ok
     assert len(reads) == 6 and max(reads.values()) <= 2
+
+
+@pytest.mark.parametrize("top", [41, 44])
+def test_certificate_refuses_a_vertex_angle_at_any_annulus_level(lam3, top):
+    """The ring angle 1155174731/1610612736 is a polygon vertex from level 29.
+    Beside CRITICAL and 19237/87381 at certificate depth 43 it is refused
+    whether its top annulus is at 41 (a separation read past its vertex level
+    used to pass it) or at 44 (where the walk reached its cycle hit)."""
+    fr = pz.fraternal_descendants(lam3, CASE3_N, 20)
+    cert = tl.build_certificate(lam3, CASE3_N, fr, [pz.CRITICAL, normalize(19237, 87381)],
+                                depth=43)
+    ring = normalize(1155174731, 1610612736)
+    assert lam3.is_vertex(ring, 29) and not lam3.is_vertex(ring, 28)
+    cert.entries.append(tl.CertificateEntry(ring, [tl.AnnulusRecord(n, n, n)
+                                                   for n in (26, 38, top)]))
+    with pytest.raises(YoccozError, match=f"certified angle {ring} is a polygon vertex"):
+        tl.verify_certificate(lam3, cert)
