@@ -141,6 +141,8 @@ def cmd_descendants(args, cfg):
     lam = _load_lam(args.lam)
     if args.budget < 0:
         raise ValueError("budget must be >= 0")
+    if args.level is not None and args.level < 0:
+        raise ValueError("level must be >= 0")
     level = args.level if args.level is not None else first_nondegenerate(lam, args.budget)
     levels = descendant_levels(lam, level, args.budget)
     payload = {"base_level": level, "budget": args.budget,

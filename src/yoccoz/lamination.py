@@ -21,9 +21,10 @@ backward pass capped at the query level: no recursion, no memo, any level
 (``Lamination.orbit``): one forward walk gives the positions of its orbit and
 its first cycle angle (a vertex), and one backward pass over the critical
 orbit slots of each position's sector gives the capped levels, which answer
-every level up to the record's.  Images of the critical piece
-(``critical_image``) are answered from ``critical_leaf_levels`` by orbit
-index.  Tests cross-check the queries against the stored lists.
+every level up to the record's.  The images of the critical piece read the
+reach r_k = k + 1 + l_k of c_k = 2^k theta_v (``reach``), the critical column
+of the Branner-Hubbard tableau: f^j(P_m(0)) is critical iff r_{j-1} > m.
+Tests cross-check the queries against the stored lists.
 """
 
 from __future__ import annotations
@@ -441,29 +442,15 @@ class Lamination:
         """The level gap of theta contains the critical leaf."""
         return self.same_gap(level, theta, self.critical_leaf[0])
 
-    def orbit_slot(self, k: int) -> int | None:
-        """Index of c_k = 2^k theta_v in critical_orbit, or None when c_k is a
-        cycle angle (late landing, k >= entry_step)."""
-        n = len(self._succ)
-        if k < n:
-            return k
-        s = self._succ[-1]
-        return None if s is None else s + (k - s) % (n - s)
-
-    def critical_image(self, m: int, j: int) -> bool:
-        """f^j(P_m(0)) is the critical piece of level m - j: for j >= 1 the
-        level-(m - j) gap of c_{j-1} holds the critical leaf, which its stored
-        leaf level answers.  Guards as same_gap(m - j, c_{j-1}, leaf) does."""
-        if j == 0:
-            return True
-        level, k = m - j, j - 1
-        self.guard_level(level)
-        slot, e = self.orbit_slot(k), self.entry_step
-        if slot is None:
-            raise YoccozError(f"{double(self.critical_orbit[-1], k + 1 - e)} is a cycle angle")
-        if e is not None and k + level >= e:
-            raise Case1DegenerateError(e)
-        return self.critical_leaf_levels[slot] > level
+    def reach(self, k: int) -> int:
+        """r_k = k + 1 + l_k, l_k the leaf level of c_k = 2^k theta_v: the least
+        m at which f^{k+1}(P_m(0)) is not the critical piece (inf: none), read
+        at c_k's orbit slot.  Late landing: c_k is a cycle angle from
+        k = entry_step on; the callers guard the levels (guard_level)."""
+        n, s = len(self._succ), self._succ[-1]
+        if k >= n and s is None:
+            raise YoccozError(f"{double(self.critical_orbit[-1], k + 1 - n)} is a cycle angle")
+        return k + 1 + self.critical_leaf_levels[k if k < n else s + (k - s) % (n - s)]
 
     def _pull_back(self, arcs: tuple[Arc, ...], j: int, side: int | None) -> tuple[Arc, ...]:
         """Preimage arcs over D_{j+1} of a sorted gap trace over D_j, kept on one

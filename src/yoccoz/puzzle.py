@@ -3,13 +3,19 @@ their descendants, and rise-and-drop sequence analytics.
 
 A piece is identified by its level and circle trace (boundary arcs), kept as
 the lamination gives it: sorted numerator pairs over D_n = (2^q - 1) 2^n.  All
-predicates reduce to separation levels of the lamination (Lamination.same_gap,
-the leaf levels of an orbit record, and Lamination.critical_image for the
-images of the critical piece), so they work at any level without
+predicates reduce to separation levels of the lamination (Lamination.same_gap
+and the leaf levels of an orbit record), so they work at any level without
 recursion; the "piece of 0" is the gap holding the critical leaf, per the
 design decision that every test point here is an angle or the leaf.  A
 piece's children are cut from its own trace by the polygons inside it
 (sub_pieces), so only a piece asked for by level and angle is pulled back.
+
+The critical annuli A_n(0) = P_n(0) - P_{n+1}(0) read the reach r_k of the
+critical orbit (Lamination.reach): f^{k+1}(P_m(0)) is critical iff r_k > m.
+So f^{m-n} maps A_m(0) onto A_n(0) as an unramified cover iff no
+k <= m - n - 2 has r_k = m + 1 (f^{k+1}(P_m(0)) critical, f^{k+1}(P_{m+1}(0))
+not: a ramified cover) and r_{m-n-1} > m + 1; its degree is
+2^(1 + #{k <= m - n - 2 : r_k > m}).
 """
 
 from __future__ import annotations
@@ -207,30 +213,27 @@ def first_nondegenerate(lam: Lamination, budget: int) -> int:
 
 
 def descendant_check(lam: Lamination, m: int, n: int) -> tuple[bool, int]:
-    """Does f^{m-n} map A_m(0) onto A_n(0) as an unramified cover?
-
-    Walk the critical-orbit images; a critical outer piece doubles the degree
-    and must come with a critical inner piece (else the cover ramifies).
-    """
+    """Does f^{m-n} map A_m(0) onto A_n(0) as an unramified cover (module
+    docstring)?  A late-landing lamination has no pieces past entry_step e: the
+    rule reads level-m images (m - 1 < e) and, unless m - n = 1 and the level-m
+    image misses, level-(m + 1) ones (m < e)."""
     if m <= n:
         raise ValueError("need m > n")
-    passes = 0
-    for j in range(m - n):
-        outer_crit = lam.critical_image(m, j)
-        inner_crit = lam.critical_image(m + 1, j)
-        if outer_crit:
-            if not inner_crit:
-                return False, 0
-            passes += 1
-    if not lam.critical_image(m, m - n):
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    lam.guard_level(m - 1)
+    *inner, last = (lam.reach(k) for k in range(m - n))
+    if inner or last > m:
+        lam.guard_level(m)
+    if m + 1 in inner or last <= m + 1:
         return False, 0
-    if not lam.critical_image(m + 1, m - n):
-        return False, 0
-    return True, 1 << passes
+    return True, 2 << sum(x > m for x in inner)
 
 
 def descendant_levels(lam: Lamination, n: int, budget: int) -> list[tuple[int, int]]:
     """(level, degree) of every descendant of A_n(0) with level <= n + budget."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
     out = []
     for m in range(n + 1, n + budget + 1):
         ok, deg = descendant_check(lam, m, n)
@@ -240,11 +243,12 @@ def descendant_levels(lam: Lamination, n: int, budget: int) -> list[tuple[int, i
 
 
 def fraternal_descendants(lam: Lamination, n: int, budget: int) -> tuple[int, int]:
-    """Two descendant levels of A_n(0), neither a descendant of the other."""
+    """Two descendant levels of A_n(0), neither a descendant of the other.  For
+    m1 < m2 the rule reduces to the image rule: r_{m2-m1-1} > m2."""
     levels = [m for m, _ in descendant_levels(lam, n, budget)]
     for i, m1 in enumerate(levels):
         for m2 in levels[i + 1:]:
-            if not descendant_check(lam, m2, m1)[0]:
+            if lam.reach(m2 - m1 - 1) <= m2:
                 return m1, m2
     raise NotFoundWithinBudgetError(budget, f"no fraternal descendants of A_{n} within {budget}")
 

@@ -7,12 +7,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angles import Angle, from_fraction
+from .errors import Case1DegenerateError
 from .lamination import Lamination
 
 
 @dataclass(frozen=True)
 class RenormReport:
     """Outcome of the combinatorial renormalization search.
+
+    f^n maps P_{k+n}(0) onto P_k(0) as a degree-two cover iff f^n(P_{k+n}(0))
+    is critical and no f^j(P_{k+n}(0)), 0 < j < n, is.  By the image rule
+    (f^j(P_m(0)) is critical iff the reach r_{j-1} > m, Lamination.reach) the
+    latter holds from k0 = max(0, max{r_i : i < n - 1} - n) on.  It
+    renormalizes iff f^{tn}(P_{k+n+tn}(0)) is critical for all t >= 1: l > k + n
+    at every slot of c_{tn-1}.  A deeper k only raises that bar, so k0 is the
+    one candidate.
 
     kind is satellite iff the period equals the alpha-ray count q, primitive
     if it exceeds it.  Returns of the critical orbit are exact for rational
@@ -27,34 +36,31 @@ class RenormReport:
     budget: int
 
 
-def _returns_forever(lam: Lamination, n: int, k: int) -> bool:
-    """f^{tn}(0) in P_{k+n}(0) for all t >= 1: the orbit slot of
-    c_{tn-1} = 2^{tn-1} theta_v is eventually periodic in t, so the walk ends
-    when a slot repeats."""
-    seen = set()
-    t = 1
-    while (slot := lam.orbit_slot(t * n - 1)) not in seen:
-        if not lam.critical_image(k + n + t * n, t * n):
-            return False
-        seen.add(slot)
-        t += 1
-    return True
-
-
 def detect(lam: Lamination, budget: int) -> RenormReport:
-    """Search periods n >= 2 then levels k for a degree-two branched cover
-    f^n: P_{k+n}(0) -> P_k(0) with the critical orbit returning forever."""
+    """The least period n in 2..budget whose level k0 (RenormReport) is within
+    the budget and renormalizes.  A late-landing lamination never does: c_k is
+    a cycle angle from k = entry_step on.  It has no pieces past entry_step,
+    and raises Case1DegenerateError where a search over every k <= budget asks
+    for one: at k = budget when budget + n > entry_step, or at a k >= k0 whose
+    f^n(P_{k+n}(0)) and returns below entry_step are all critical."""
+    top, e = 0, lam.entry_step  # top = max{r_i : i < n - 1}
     for n in range(2, budget + 1):
-        for k in range(0, budget + 1):
-            if not lam.critical_image(k + n, n):
-                continue
-            if any(lam.critical_image(k + n, j) for j in range(1, n)):
-                continue  # a deeper k may shed the extra critical pass
-            if not _returns_forever(lam, n, k):
-                continue
-            kind = "satellite" if n == lam.q else "primitive"
-            return RenormReport(True, n, k, kind, budget)
+        top = max(top, lam.reach(n - 2))
+        k0 = max(0, top - n)
+        if e is not None:
+            if budget + n > e or any(lam.reach(n - 1) > k + n and _returns(lam, n, k, (e - k) // n)
+                                     for k in range(min(k0, budget + 1), budget + 1)):
+                raise Case1DegenerateError(e)
+        elif k0 <= budget and _returns(lam, n, k0, len(lam.critical_leaf_levels) + 1):
+            return RenormReport(True, n, k0, "satellite" if n == lam.q else "primitive", budget)
     return RenormReport(False, None, None, None, budget)
+
+
+def _returns(lam: Lamination, n: int, k: int, stop: int) -> bool:
+    """f^{tn}(P_{k+n+tn}(0)) is critical (l_{tn-1} > k + n) for 0 < t < stop.  The
+    slot of c_{tn-1} is periodic in t past the preperiod: the orbit length
+    bounds the t that meet every slot."""
+    return all(lam.reach(t * n - 1) > k + (t + 1) * n for t in range(1, stop))
 
 
 # ------------------------------------------------------------------ tuning

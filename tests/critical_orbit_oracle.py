@@ -1,10 +1,13 @@
-"""Test oracle: the critical-orbit queries by Angle that critical_image replaced.
+"""Test oracle of the reach form: the critical-orbit queries by Angle.
 
 The j-th image of P_m(0) is asked as a gap query about the angle
 c_{j-1} = 2^{j-1} theta_v against the critical leaf, through the general
-separation walk of same_gap; renormalization returns walk the orbit as
-Angles until one repeats.  The library reads the stored leaf levels by
-orbit index instead; the tests check that both agree, errors included.
+separation walk of same_gap, and the descendant and renormalization
+searches walk those queries one (m, j) at a time; renormalization returns
+walk the orbit as Angles until one repeats.  The library answers all of
+them from the reach r_k = k + 1 + l_k of the critical orbit
+(Lamination.reach) by the image, descendant and renormalization rules; the
+tests check that both agree, errors included.
 """
 
 from yoccoz.angles import double

@@ -420,6 +420,7 @@ def test_count_flags_below_one_exit_1(tmp_path, args):
 
 @pytest.mark.parametrize("args", [["descendants", "--level", "3", "--budget", "-2"],
                                   ["descendants", "--budget", "-2"],
+                                  ["descendants", "--budget", "-2", "--level", "-1"],
                                   ["renorm", "--budget", "-3"]])
 def test_negative_budget_exits_1(tmp_path, args):
     """A negative budget searches nothing: without the check descendants
@@ -431,6 +432,17 @@ def test_negative_budget_exits_1(tmp_path, args):
     code, out = run_cli(args[:1] + ["--lam", lam] + args[1:], tmp_path)
     assert code == 1
     assert json.loads(out) == {"error": "ValueError", "message": "budget must be >= 0"}
+
+
+@pytest.mark.parametrize("budget", ["0", "1", "20"])
+@pytest.mark.parametrize("level", ["-1", "-7"])
+def test_descendants_negative_level_exits_1(tmp_path, lam_json, level, budget):
+    """A critical annulus A_n(0) has n >= 0: at budget 0 a negative level was
+    reported as the base level of an empty descendant list."""
+    code, out = run_cli(["descendants", "--lam", lam_json, "--level", level,
+                         "--budget", budget], tmp_path)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": "level must be >= 0"}
 
 
 def test_render_negative_level_exits_1(tmp_path, lam_json):

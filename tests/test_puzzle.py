@@ -142,6 +142,14 @@ def test_descendants_chain_for_airplane():
         pz.fraternal_descendants(lam, 2, 15)
 
 
+def test_descendants_of_a_negative_level_raise(lam3):
+    """There is no A_n(0) with n < 0, whatever the budget or the level m."""
+    for call, args in [(pz.descendant_check, (0, -1)), (pz.descendant_check, (5, -2)),
+                       (pz.descendant_levels, (-1, 0)), (pz.descendant_levels, (-3, 20))]:
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            call(lam3, *args)
+
+
 def test_descendant_transitivity(lam3):
     levels = [m for m, _ in pz.descendant_levels(lam3, CASE3_N, 20)]
     for m1 in levels:
@@ -198,8 +206,8 @@ def test_lemma_drop_nature(lam3):
         for n in range(len(seq) - 1):
             b, a = seq[n], seq[n + 1]
             if 1 <= a <= b:
-                # (b - (a-1))-fold image of P_b(0) is P_{a-1}(0)
-                assert lam3.critical_image(b, b - (a - 1))
+                # (b - (a-1))-fold image of P_b(0) is P_{a-1}(0): r_{b-a} > b
+                assert lam3.reach(b - a) > b
                 checked += 1
     assert checked > 10
 
@@ -248,7 +256,7 @@ def test_lemma_getdesc(lam3):
     k = 9
     desc_levels = {m for m, _ in pz.descendant_levels(lam3, CASE3_N, 40)} | {CASE3_N}
     for n in (11, 14, 20):
-        assert lam3.critical_image(n + k, k)  # the return
+        assert lam3.reach(k - 1) > n + k  # the return: f^k(P_{n+k}(0)) is critical
         for l in sorted(d for d in desc_levels if d < n):
             found = None
             for t in range(n, n + k):
