@@ -18,12 +18,14 @@ periodic, so L(c, theta_v) on the critical-value orbit is one
 shortest-path search at build time, and L against any other orbit one
 backward pass capped at the query level: no recursion, no memo, any level
 (2^40 polygons cannot be stored).  A query angle gets one orbit record
-(``Lamination.orbit``): one forward walk gives the positions of its orbit and
-its first cycle angle (a vertex), and one backward pass over the critical
-orbit slots of each position's sector gives the capped levels, which answer
-every level up to the record's.  The images of the critical piece read the
-reach r_k = k + 1 + l_k of c_k = 2^k theta_v (``reach``), the critical column
-of the Branner-Hubbard tableau: f^j(P_m(0)) is critical iff r_{j-1} > m.
+(``Lamination.orbit``).  Over den = 2^a b (b odd) its orbit is periodic from
+2^a theta on, so it meets the alpha cycle (a vertex) there or never
+(``vertex_entry_step``).  Off the cycle, one forward walk gives the positions
+of its orbit, and one backward pass over the critical orbit slots of each
+position's sector gives the capped levels, which answer every level up to
+the record's.  The images of the critical piece read the reach
+r_k = k + 1 + l_k of c_k = 2^k theta_v (``reach``), the critical column of
+the Branner-Hubbard tableau: f^j(P_m(0)) is critical iff r_{j-1} > m.
 Tests cross-check the queries against the stored lists.
 """
 
@@ -121,9 +123,8 @@ class Orbit:
     """The orbit record of a query angle to ``level`` (Lamination.orbit)."""
 
     theta: Angle
-    level: int
     hit: int | None  # least m <= level with 2^m theta a cycle angle (a vertex), else None
-    pos: list[tuple[int, int]]  # (sector, leaf side) of 2^m theta for m = 0..level, up to the hit
+    pos: list[tuple[int, int]]  # (sector, leaf side) of 2^m theta for m = 0..level; [] on a hit
     to_value: list  # min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1; [] on a hit
     leaf: list  # min(L(2^m theta, leaf), level + 1 - m) for m = 0..level; [] on a hit
     cells: int  # row cells the backward pass visited
@@ -157,6 +158,7 @@ class Lamination:
         self.cycle = tuple(cyc)
         full = (1 << q) - 1
         nums = self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
+        self._cycle_set = frozenset(nums)
         # the level-0 sectors (c_i, c_{i+1}) over D_0, the last wrapping past 0
         self._sectors = [(c, nums[(i + 1) % q]) for i, c in enumerate(nums)]
         num, den = theta_v.num, theta_v.den
@@ -211,18 +213,19 @@ class Lamination:
         """The critical-value orbit c_k = 2^k theta_v up to its first repeat or
         its first cycle angle (late landing): reduced (num, den) pairs, their
         positions, and the slot that the last point doubles to (None: a cycle
-        angle).  Over D = 2^a b (b odd), the denominator of theta_v, c_k is
-        x_k / D reduced by 2^min(k, a)."""
+        angle).  Over D = 2^a b (b odd), c_k is x_k / D reduced by 2^min(k, a),
+        periodic iff k >= a, so c_a is the first to come back."""
         D = self.theta_v.den
         a = _two_adic(D)
         orbit, pos = [], []
-        for k, (x, where) in enumerate(self._orbit_points(self.theta_v.num, D)):
+        for k, (x, where) in enumerate(self._points(self.theta_v.num, D)):
+            j = min(k, a)
+            if k > a and (x >> j, D >> j) == orbit[a]:
+                return orbit, pos, a
             if where is None:
                 return orbit, pos, None
-            j = min(k, a)
             orbit.append((x >> j, D >> j))
             pos.append(where)
-        return orbit, pos, a
 
     def _points(self, num: int, den: int):
         """The orbit of num/den under doubling, as (x, position) for its points
@@ -246,18 +249,6 @@ class Lamination:
             x *= 2
             if x >= den:
                 x -= den
-
-    def _orbit_points(self, num: int, den: int):
-        """_points up to the first repeat.  Only the x_m with m >= a
-        (den = 2^a b, b odd) are multiples of 2^a, and doubling permutes them,
-        so the first point to come back is x_a."""
-        a = _two_adic(den)
-        for m, point in enumerate(self._points(num, den)):
-            if m == a:
-                start = point[0]
-            elif m > a and point[0] == start:
-                return
-            yield point
 
     def layer_den(self, j: int) -> int:
         """D_j = (2^q - 1) 2^j, the common denominator of the depth-j vertices."""
@@ -337,21 +328,20 @@ class Lamination:
     # --------------------------------------------------------------- queries
 
     def orbit(self, theta: Angle, level: int) -> Orbit:
-        """The orbit record of theta to ``level``: one forward walk to its
-        first cycle angle and, if it meets none, one backward pass.  Its capped
-        values answer every level m <= level too: min(L, m + 1 - k) equals
-        min(min(L, level + 1 - k), m + 1 - k)."""
+        """The orbit record of theta to ``level``: its cycle hit from
+        vertex_entry_step and, if it meets none by ``level``, one forward walk
+        and one backward pass.  Its capped values answer every level m <= level
+        too: min(L, m + 1 - k) equals min(min(L, level + 1 - k), m + 1 - k)."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        pos = []
-        for m, (_, where) in zip(range(level + 1), self._points(theta.num, theta.den)):
-            if where is None:
-                return Orbit(theta, level, m, pos, [], [], 0)
-            pos.append(where)
+        e = self.vertex_entry_step(theta)
+        if e is not None and e <= level:
+            return Orbit(theta, e, [], [], [], 0)
+        pos = [where for _, where in islice(self._points(theta.num, theta.den), level + 1)]
         to_value, cells = self._backward(pos, level)
         leaf = [0 if s != self._leaf_sector else 1 + to_value[m + 1]
                 for m, (s, _) in enumerate(pos)]
-        return Orbit(theta, level, None, pos, to_value, leaf, cells)
+        return Orbit(theta, None, pos, to_value, leaf, cells)
 
     def _backward(self, pos, level: int) -> tuple[list, int]:
         """min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1, and the
@@ -407,15 +397,18 @@ class Lamination:
         return min(stop, min(j + 1 + r[j + 1] for j in flips))
 
     def vertex_entry_step(self, theta: Angle) -> int | None:
-        """Least depth at which theta is a polygon vertex (None: never)."""
-        points = self._orbit_points(theta.num, theta.den)
-        return next((m for m, (_, where) in enumerate(points) if where is None), None)
+        """Least depth at which theta is a polygon vertex (None: never).  Over
+        den = 2^a b (b odd), 2^m theta has an even denominator for m < a and
+        2^a theta = (num mod b)/b is periodic, as the cycle is: the orbit
+        meets the cycle at step a, if (num mod b)/b = c/(2^q - 1), or never."""
+        a = _two_adic(theta.den)
+        b, full = theta.den >> a, (1 << self.q) - 1
+        return a if full % b == 0 and theta.num % b * (full // b) in self._cycle_set else None
 
     def is_vertex(self, theta: Angle, level: int) -> bool:
-        """Bounded walk: theta is a depth <= level vertex iff its orbit meets
-        the cycle within `level` doublings (no full-orbit scan needed)."""
-        points = islice(self._points(theta.num, theta.den), level + 1)
-        return any(where is None for _, where in points)
+        """theta is a polygon vertex of depth <= level."""
+        e = self.vertex_entry_step(theta)
+        return e is not None and e <= level
 
     def guard_level(self, level: int, *angles: Angle):
         """Late landing: theta_v meets the cycle after entry_step doublings, so
@@ -469,13 +462,12 @@ class Lamination:
         k = bisect_right(arcs, (self._cut(j)[0], den))  # the arcs starting at or below the cut
         return tuple(low[k:] + high[:k] if side == 0 else low[:k] + high[k:])
 
-    def trace(self, level: int, theta: Angle, orbit: Orbit | None = None) -> tuple[Arc, ...]:
+    def trace(self, level: int, theta: Angle) -> tuple[Arc, ...]:
         """Circle trace (boundary arcs) of the level gap containing theta, as
         sorted numerator pairs over D_level: the sector of 2^level theta,
-        pulled back along the orbit (``orbit``: theta's record to this level,
-        if the caller has it)."""
+        pulled back along the orbit."""
         self.guard_level(level, theta)
-        rec = self.orbit(theta, level) if orbit is None else orbit
+        rec = self.orbit(theta, level)
         if rec.hit is not None:
             raise YoccozError(f"{theta} is a vertex at depth <= {level}")
         pos, r = rec.pos, rec.to_value

@@ -69,10 +69,9 @@ def query_angle(lam: Lamination, theta) -> Angle:
 def piece_of(lam: Lamination, level: int, theta) -> PieceRef:
     """The level-n gap containing theta (or the critical leaf for CRITICAL)."""
     t = query_angle(lam, theta)
-    rec = lam.orbit(t, level)
-    if rec.hit is not None:
+    if lam.is_vertex(t, level):
         raise OnBoundaryError(f"{t} is a polygon vertex at depth <= {level}")
-    return PieceRef(level, lam.trace(level, t, rec), t, lam.layer_den(level))
+    return PieceRef(level, lam.trace(level, t), t, lam.layer_den(level))
 
 
 def critical_piece(lam: Lamination, level: int) -> PieceRef:
@@ -231,14 +230,23 @@ def descendant_check(lam: Lamination, m: int, n: int) -> tuple[bool, int]:
 
 
 def descendant_levels(lam: Lamination, n: int, budget: int) -> list[tuple[int, int]]:
-    """(level, degree) of every descendant of A_n(0) with level <= n + budget."""
+    """(level, degree) of every descendant of A_n(0) with level <= n + budget:
+    descendant_check's rule and guards at each m, in one pass that keeps the
+    inner reaches r_0..r_{m-n-2} counted by value, so a level reads one reach."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    out = []
+    out, inner, above, last = [], {}, 0, None
     for m in range(n + 1, n + budget + 1):
-        ok, deg = descendant_check(lam, m, n)
-        if ok:
-            out.append((m, deg))
+        lam.guard_level(m - 1)
+        above -= inner.get(m, 0)
+        if last is not None:
+            inner[last] = inner.get(last, 0) + 1
+            above += last > m
+        last = lam.reach(m - n - 1)
+        if m - n > 1 or last > m:
+            lam.guard_level(m)
+        if m + 1 not in inner and last > m + 1:
+            out.append((m, 2 << above))
     return out
 
 

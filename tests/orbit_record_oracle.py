@@ -8,9 +8,15 @@ vertex walk and one more walk and pass.  ``cycle_entry_step`` walked one
 ``Angle`` per point, and ``classify_case`` took its entry step from it.  The
 library builds one orbit record per (angle, level) and answers all of them
 from it; the tests check that both agree, errors included.
+
+The record's cycle hit, ``is_vertex`` and ``vertex_entry_step`` then walked
+the orbit over one denominator (``Lamination._points``) until it reached a
+cycle angle; the library reads them in closed form from the 2-adic valuation
+of the denominator.  Those three walks are kept here as well.
 """
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
 
 from yoccoz.angles import Angle, double
 from yoccoz.errors import OrbitHitsAlphaError, YoccozError
@@ -75,6 +81,37 @@ def is_vertex(lam, theta, level):
             return True
         x = _double(*x)
     return False
+
+
+def orbit_hit_walk(lam, theta, level):
+    """Lamination.orbit's forward walk: the least m <= level at which 2^m theta
+    is a cycle angle (else None), and the positions of the points before it."""
+    pos = []
+    for m, (_, where) in zip(range(level + 1), lam._points(theta.num, theta.den)):
+        if where is None:
+            return m, pos
+        pos.append(where)
+    return None, pos
+
+
+def is_vertex_walk(lam, theta, level):
+    """Bounded walk: does the orbit meet the cycle within `level` doublings?"""
+    points = islice(lam._points(theta.num, theta.den), level + 1)
+    return any(where is None for _, where in points)
+
+
+def vertex_entry_walk(lam, theta):
+    """The walk to the first cycle angle or the first repeat.  Only the x_m
+    with m >= a (den = 2^a b, b odd) are multiples of 2^a, and doubling
+    permutes them, so the first point to come back is x_a."""
+    a = (theta.den & -theta.den).bit_length() - 1
+    for m, (x, where) in enumerate(lam._points(theta.num, theta.den)):
+        if where is None:
+            return m
+        if m == a:
+            start = x
+        elif m > a and x == start:
+            return None
 
 
 def orbit_levels(lam, theta, n):

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from yoccoz import cli
 from yoccoz import tiling as tl
@@ -289,3 +291,100 @@ def test_residual_samples_match(seed, monkeypatch):
             m.setattr(tl, "residual_member", oracle.residual_member)
             want = cli._residual_samples(lam, CASE3_P, CASE3_L, depth, 1, seed)
         assert got == want, depth
+
+
+# ----------------------------------------------- the vertex test in closed form
+
+
+@pytest.fixture(scope="module")
+def entry_lams():
+    """The five laminations of the record tests above, and one (q = 4) whose
+    critical value lands on the cycle after nine doublings."""
+    lams = [build(1, 2, t, 8) for t in (AIRPLANE_THETA, SATELLITE_THETA, MISIUREWICZ_THETA,
+                                        CASE3_THETA)]
+    return lams + [build(1, 2, LONG_ORBIT, 0), build(1, 4, late_landing(1, 4, 9)[0], 8)]
+
+
+@st.composite
+def entry_angles(draw, lams):
+    """(kind, lamination, a, angle num/(2^a b)) with b odd and, by kind,
+    num mod b a cycle point (a vertex from depth a), b dividing 2^q - 1, or
+    b not dividing it."""
+    lam = draw(st.sampled_from(lams))
+    full = (1 << lam.q) - 1
+    a = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(["cycle", "divides", "other"]))
+    if kind == "cycle":
+        c = draw(st.sampled_from(lam._cycle_nums))
+        b = full // gcd(c, full)
+        r = c * b // full  # c / (2^q - 1) = r / b, reduced
+    else:
+        divisors = [d for d in range(1, full + 1) if full % d == 0]
+        odd = st.integers(1, 2000).map(lambda k: 2 * k + 1).filter(lambda d: full % d)
+        b = draw(st.sampled_from(divisors) if kind == "divides" else odd)
+        r = draw(st.integers(0, b - 1))
+    num = r + b * draw(st.integers(0, (1 << a) - 1))
+    if a and num % 2 == 0:
+        num += b
+    return kind, lam, a, normalize(num, b << a)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_vertex_entry_closed_form_matches_the_walks(entry_lams, data):
+    """vertex_entry_step, is_vertex and the record's hit against the walks
+    they replaced; around the entry step, the record's hit and tau_sequence's
+    outcome against the reduced-pair oracle too."""
+    kind, lam, a, theta = data.draw(entry_angles(entry_lams))
+    e = lam.vertex_entry_step(theta)
+    assert e == oracle.vertex_entry_walk(lam, theta), theta
+    if kind == "cycle":
+        assert e == a, theta
+    levels = {0, 3} | (set() if e is None else {e - 1, e, e + 1})
+    for n in sorted(n for n in levels if n >= 0):
+        assert lam.is_vertex(theta, n) == oracle.is_vertex_walk(lam, theta, n), (theta, n)
+        rec = lam.orbit(theta, n)
+        hit, pos = oracle.orbit_hit_walk(lam, theta, n)
+        assert rec.hit == hit, (theta, n)
+        assert rec.pos == (pos if hit is None else []), (theta, n)
+        assert outcome(tau_sequence, lam, theta, n) == \
+            outcome(oracle.tau_sequence, lam, theta, n), (theta, n)
+
+
+def test_vertex_entry_closed_form_on_small_denominators(entry_lams):
+    """Every angle num/(2^a b) with a <= 3 and odd b < 4 (2^q - 1): b below,
+    at and above 2^q - 1, dividing it or not, where a b that does not divide
+    2^q - 1 can still give (num mod b) ((2^q - 1) // b) a cycle numerator."""
+    for lam in entry_lams:
+        full = (1 << lam.q) - 1
+        for den in {b << a for b in range(1, 4 * full, 2) for a in range(4)}:
+            for num in range(den):
+                theta = normalize(num, den)
+                assert lam.vertex_entry_step(theta) == oracle.vertex_entry_walk(lam, theta), theta
+
+
+def test_vertex_draws_walk_no_point(monkeypatch):
+    """The certify sampler's draws k/2^16 along the level-15 piece: a vertex
+    draw (denominator 3 2^a, a <= 40) costs no orbit step through
+    residual_member, is_vertex or vertex_entry_step; the other draws walk."""
+    lam = build(1, 2, CASE3_THETA, 8)
+    draws = piece_samples(lam, CASE3_P, 120, seed=22)[31:]  # the arc draws alone
+    walk, steps = type(lam)._points, []
+
+    def counted(self, num, den):
+        for point in walk(self, num, den):
+            steps.append(num)
+            yield point
+
+    monkeypatch.setattr(type(lam), "_points", counted)
+    vertices = [t for t in draws if lam.is_vertex(t, 40)]
+    assert len(vertices) > 20 and not steps
+    for theta in vertices:
+        assert tl.residual_member(lam, theta, CASE3_P, CASE3_L, 40) is \
+            tl.ResidualStatus.ORBIT_HITS_ALPHA
+        assert lam.vertex_entry_step(theta) == (theta.den & -theta.den).bit_length() - 1 <= 40
+    assert not steps
+    for theta in draws:
+        if theta not in vertices:
+            tl.residual_member(lam, theta, CASE3_P, CASE3_L, 40)
+    assert len(steps) == 41 * (len(draws) - len(vertices))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from yoccoz.angles import arc_length, from_fraction, normalize
-from yoccoz.errors import YoccozError
+from yoccoz.errors import OnBoundaryError, YoccozError
 from yoccoz.lamination import build
 from yoccoz import puzzle as pz
 from yoccoz import tiling as tl
@@ -522,4 +522,20 @@ def test_certificate_refuses_a_vertex_angle_at_any_annulus_level(lam3, top):
     cert.entries.append(tl.CertificateEntry(ring, [tl.AnnulusRecord(n, n, n)
                                                    for n in (26, 38, top)]))
     with pytest.raises(YoccozError, match=f"certified angle {ring} is a polygon vertex"):
+        tl.verify_certificate(lam3, cert)
+
+
+def test_certificate_refuses_a_vertex_angle_from_its_entry_step(lam3):
+    """The ring angle enters the alpha cycle at step 29: a certificate of depth
+    29 refuses it, and the same entries at depth 28 are verified."""
+    ring = normalize(1155174731, 1610612736)
+    assert lam3.vertex_entry_step(ring) == 29
+    fr = pz.fraternal_descendants(lam3, CASE3_N, 20)
+    cert = tl.build_certificate(lam3, CASE3_N, fr, [pz.CRITICAL, ring], depth=28)
+    assert cert.entries[1].annuli
+    report = tl.verify_certificate(lam3, copy.deepcopy(cert))
+    assert report.ok and not report.warning
+    cert.depth = 29
+    with pytest.raises(OnBoundaryError, match=f"certified angle {ring} is a polygon vertex "
+                                              "at depth <= 29"):
         tl.verify_certificate(lam3, cert)
