@@ -158,7 +158,6 @@ class Lamination:
         self.cycle = tuple(cyc)
         full = (1 << q) - 1
         nums = self._cycle_nums = [a.num * (full // a.den) for a in cyc]  # sorted, over D_0
-        self._cycle_set = frozenset(nums)
         # the level-0 sectors (c_i, c_{i+1}) over D_0, the last wrapping past 0
         self._sectors = [(c, nums[(i + 1) % q]) for i, c in enumerate(nums)]
         num, den = theta_v.num, theta_v.den
@@ -403,7 +402,7 @@ class Lamination:
         meets the cycle at step a, if (num mod b)/b = c/(2^q - 1), or never."""
         a = _two_adic(theta.den)
         b, full = theta.den >> a, (1 << self.q) - 1
-        return a if full % b == 0 and theta.num % b * (full // b) in self._cycle_set else None
+        return a if full % b == 0 and theta.num % b * (full // b) in self._cycle_nums else None
 
     def is_vertex(self, theta: Angle, level: int) -> bool:
         """theta is a polygon vertex of depth <= level."""

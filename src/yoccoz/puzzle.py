@@ -230,23 +230,14 @@ def descendant_check(lam: Lamination, m: int, n: int) -> tuple[bool, int]:
 
 
 def descendant_levels(lam: Lamination, n: int, budget: int) -> list[tuple[int, int]]:
-    """(level, degree) of every descendant of A_n(0) with level <= n + budget:
-    descendant_check's rule and guards at each m, in one pass that keeps the
-    inner reaches r_0..r_{m-n-2} counted by value, so a level reads one reach."""
+    """(level, degree) of every descendant of A_n(0) with level <= n + budget."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    out, inner, above, last = [], {}, 0, None
+    out = []
     for m in range(n + 1, n + budget + 1):
-        lam.guard_level(m - 1)
-        above -= inner.get(m, 0)
-        if last is not None:
-            inner[last] = inner.get(last, 0) + 1
-            above += last > m
-        last = lam.reach(m - n - 1)
-        if m - n > 1 or last > m:
-            lam.guard_level(m)
-        if m + 1 not in inner and last > m + 1:
-            out.append((m, 2 << above))
+        ok, deg = descendant_check(lam, m, n)
+        if ok:
+            out.append((m, deg))
     return out
 
 

@@ -153,16 +153,9 @@ def test_detect_and_descendants_match_the_angle_route(lams):
     assert errors > 0
 
 
-def test_descendant_levels_in_one_pass_match_the_angle_route(lams):
-    """The one pass over m against the oracle's level-by-level search on the
-    late-landing sweep and the fixtures; against a descendant_check per level
-    at every base level n <= entry_step + 1 and budget <= entry_step - n + 3
-    of the sweep, where the guards raise at the last level or the first, and
-    at budget 300 on the fixtures."""
-    def per_level(lam, n, budget):
-        return [(m, d) for m in range(n + 1, n + budget + 1)
-                for ok, d in [pz.descendant_check(lam, m, n)] if ok]
-
+def test_descendant_levels_match_the_angle_route(lams):
+    """descendant_levels against the oracle's level-by-level search on the
+    late-landing sweep and the fixtures, guard errors included."""
     seen = set()
     for lam in lams.sweep + lams.fixtures:
         for n in range(4):
@@ -171,13 +164,4 @@ def test_descendant_levels_in_one_pass_match_the_angle_route(lams):
                 assert got == outcome(oracle.descendant_levels, lam, n, budget), \
                     (lam.theta_v, n, budget)
                 seen.add("ok" if isinstance(got, list) else got[0])
-    for lam in lams.sweep:
-        e = lam.entry_step
-        for n in range(e + 2):
-            for budget in range(e - n + 4):
-                got = outcome(pz.descendant_levels, lam, n, budget)
-                assert got == outcome(per_level, lam, n, budget), (lam.theta_v, n, budget)
     assert seen == {"ok", "Case1DegenerateError"}
-    for lam in lams.fixtures:
-        for n in (0, 2, 5):
-            assert pz.descendant_levels(lam, n, 300) == per_level(lam, n, 300), (lam.theta_v, n)
