@@ -42,9 +42,14 @@ def _emit(report: dict, out: str | None):
 
 
 def _write(text: str, out: str | None):
+    """Rewrite `out` in place: no O_TRUNC at open, the old tail cut after the
+    write. On ext4 (auto_da_alloc) a truncate-to-zero rewrite starts writeback
+    at close, and the next truncate of that file waits for it."""
     if out:
-        with open(out, "w") as fh:
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if fh.seekable():  # a pipe or /dev/stdout has no tail to cut
+                fh.truncate()
         print(out)
     else:
         sys.stdout.write(text)

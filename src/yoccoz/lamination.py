@@ -58,7 +58,8 @@ def alpha_cycle(p: int, q: int) -> list[Angle]:
 
     Closed form for rotation sets (Goldberg; Bullett-Sentenac): binary digit
     i = 0..q-1 of the least cycle angle is 1 iff (i p mod q) >= q - p.  The
-    cycle is that angle's q doublings, sorted.
+    cycle is that angle's q doublings, sorted.  Doubling an odd denominator
+    keeps gcd(num, den), so one gcd reduces the whole cycle.
     """
     from math import gcd
 
@@ -68,11 +69,13 @@ def alpha_cycle(p: int, q: int) -> list[Angle]:
     num = 0
     for i in range(q):
         num = 2 * num + (i * p % q >= q - p)
+    g = gcd(num, den)
+    num, den = num // g, den // g
     orbit = []
     for _ in range(q):
         orbit.append(num)
         num = 2 * num % den
-    return [normalize(v, den) for v in sorted(orbit)]
+    return [Angle(v, den) for v in sorted(orbit)]
 
 
 def _two_adic(n: int) -> int:

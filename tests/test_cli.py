@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -480,6 +481,78 @@ def test_render_level_0_draws_the_q_sectors(tmp_path, q, theta_v, c):
     assert pieces.count("<polygon") == q
 
 
+# Longer than every report below, so a rewrite that kept the old tail shows.
+STALE = "x" * 100_000
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["lamination", "--p", "1", "--q", "3", "--theta-v", "3/14", "--depth", "4"], "--out"),
+    (["qc", "phi", "--depth", "2"], "--report"),
+])
+def test_out_over_a_longer_file_holds_exactly_the_report(tmp_path, args, flag):
+    """The file is rewritten in place and its old tail cut: afterwards it holds
+    exactly what the command prints without the flag."""
+    path = tmp_path / "old.json"
+    path.write_text(STALE)
+    code, plain = run_cli(args, tmp_path)
+    assert code == 0
+    assert run_cli(args + [flag, str(path)], tmp_path) == (0, f"{path}\n")
+    assert path.read_text() == plain
+
+
+def test_render_over_a_longer_file_holds_exactly_the_svg(tmp_path, lam_json):
+    args = ["render", "--lam", lam_json, "--c=-1,0", "--level", "1", "--out"]
+    fresh, old = tmp_path / "fresh.svg", tmp_path / "old.svg"
+    old.write_text(STALE)
+    assert run_cli(args + [str(fresh)], tmp_path) == (0, f"{fresh}\n")
+    assert run_cli(args + [str(old)], tmp_path) == (0, f"{old}\n")
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_out_creates_a_new_file_with_the_umask_mode(tmp_path):
+    path = tmp_path / "new.json"
+    mask = os.umask(0o027)
+    try:
+        code, _ = run_cli(["tune", "--a0", "0", "--a1", "1", "--theta", "1/3",
+                           "--out", str(path)], tmp_path)
+    finally:
+        os.umask(mask)
+    assert code == 0 and path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_out_is_never_opened_with_o_trunc(tmp_path, lam_json, monkeypatch):
+    """On ext4 a truncate-to-zero rewrite starts writeback at close, and the
+    next truncate of the same file waits for it: `--out` and `--report` go
+    through one os.open without O_TRUNC."""
+    out, real_open, flags = str(tmp_path / "out.txt"), os.open, []
+
+    def spy(path, flag, *rest, **kw):
+        if str(path) == out:
+            flags.append(flag)
+        return real_open(path, flag, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    for args in (["lamination", "--p", "1", "--q", "2", "--theta-v", "2/5", "--depth", "2",
+                  "--out", out],
+                 ["render", "--lam", lam_json, "--c=-1,0", "--level", "0", "--out", out],
+                 ["qc", "phi", "--depth", "1", "--report", out]):
+        flags.clear()
+        assert run_cli(args, tmp_path)[0] == 0
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC, args
+
+
+def test_out_to_a_pipe_prints_the_report_then_the_path():
+    """`--out /dev/stdout` read through a pipe: a pipe has no tail to cut (it
+    cannot seek), so the report comes out whole, then the path, and exit 0."""
+    cmd = [sys.executable, "-m", "yoccoz.cli", "tune", "--a0", "0", "--a1", "1",
+           "--theta", "1/3"]
+    plain = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    piped = subprocess.run(cmd + ["--out", "/dev/stdout"], capture_output=True, text=True,
+                           timeout=60)
+    assert plain.returncode == 0 and piped.returncode == 0, piped.stderr
+    assert piped.stdout == plain.stdout + "/dev/stdout\n"
+
+
 def test_config_file_and_unknown_key(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("renorm_budget = 12\n# comment\n")
@@ -522,7 +595,6 @@ def test_model_report_script_runs(tmp_path):
     """scripts/model_report.py at a small size: it calls the qcmodel, sobolev
     and render functions by their keyword parameters, so it fails if one it
     uses is removed."""
-    import os
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent

@@ -99,3 +99,53 @@ def test_tracer_targets_resolve(target):
         assert callable(getattr(owner, cls_name).__dict__.get(meth)), attr
     else:
         assert callable(getattr(owner, attr, None)), attr
+
+
+# Calls that open or create a file for writing: `open`/`fdopen` with a mode
+# that writes, `os.open` with a flag that writes, and the helpers that create
+# or write a file in one call.
+_WRITE_MODE = set("wax+")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+_WRITE_HELPERS = {"write_text", "write_bytes", "mkstemp", "NamedTemporaryFile",
+                  "TemporaryFile", "SpooledTemporaryFile"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in _WRITE_HELPERS:
+        return True
+    if (name == "open" and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name) and func.value.id == "os"):
+        return any(isinstance(node, ast.Attribute) and node.attr in _WRITE_FLAGS
+                   for arg in call.args[1:2] for node in ast.walk(arg))
+    if name not in ("open", "fdopen"):
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else None)
+    if mode is None:
+        return False
+    # a mode that is not a literal string might write
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not _WRITE_MODE & set(mode.value))
+
+
+def _file_writers() -> set[tuple[str, str]]:
+    """(module, enclosing function) of every call that opens a file for
+    writing; module-level calls are named "<module>"."""
+    writers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(call): name for name, fn in scopes for call in ast.walk(fn)}
+        writers.update((path.name, inside.get(id(node), "<module>")) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and _opens_for_writing(node))
+    return writers
+
+
+def test_report_files_have_one_writer():
+    """Only `cli._write` (every --out and --report, rewritten in place) and
+    `cli._write_json_atomic` (the trace cache, published by rename) open a
+    file for writing, so the way a report file is written stays in one place."""
+    assert _file_writers() == {("cli.py", "_write"), ("cli.py", "_write_json_atomic")}
