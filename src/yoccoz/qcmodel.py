@@ -102,10 +102,6 @@ class Slit:
     level: int  # minimal k with alpha = p / 2^k
     half_height: Fraction  # (3/5) 2^-level
 
-    @property
-    def top(self):
-        return self.half_height
-
     def angle_bounds_ok(self) -> bool:
         """|y/(1 +- x)| <= 3/5 at the slit endpoints, exactly."""
         y = self.half_height
@@ -118,10 +114,19 @@ class SlittedSquare:
     slits: list[Slit]
 
 
+# Depth 18: `qc strip` takes about 4 s and 0.4 GB there, twice that at depth 19
+MAX_SLITS = (1 << 19) - 1
+
+
 def build_slitted(depth: int) -> SlittedSquare:
     """All slits of dyadic level <= depth: x = p/2^k, |y| <= (3/5) 2^-k."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    max_depth = MAX_SLITS.bit_length() - 1
+    if depth > max_depth:  # 2^(depth+1) - 1 > MAX_SLITS; a huge count stays unexpanded
+        count = (1 << (depth + 1)) - 1 if depth < 64 else f"2^{depth + 1} - 1"
+        raise ValueError(f"depth {depth} has {count} slits, over the bound of "
+                         f"{MAX_SLITS} slits (depth {max_depth})")
     slits = [Slit(Fraction(0), 0, THREE_FIFTHS)]
     for k in range(1, depth + 1):
         for p in range(-(1 << k) + 1, 1 << k, 2):
@@ -533,7 +538,7 @@ class StripSlit:
 class StripModel:
     depth: int
     slits: list[StripSlit]
-    band_ok: bool
+    band_ok: bool  # always True: strip_model raises where the band fails
     closure_ratio: float  # max slit height / distance to older slit (midline echo)
 
 
@@ -545,33 +550,30 @@ def strip_model(depth: int) -> StripModel:
     keeps them vertical; the image of x = alpha, |y| <= h is the segment at
     u = -+log(1 -+ alpha) with |Im - pi/2| <= (pi/2) h/(1 -+ alpha).  The band
     bound is exactly Fact angle's 3/5, checked in exact arithmetic.
+    Each slit's closure gap, to the nearest older (lower-level) slit, is read
+    at its dyadic neighbours alpha +- 2^-level that are slits (+-1 is the
+    edge): none lies between, and u increases with alpha.
     """
-    slitted = build_slitted(depth)
     out = []
-    band_ok = True
-    for s in slitted.slits:
+    u_at = {}  # float(alpha) -> u; a dyadic of level <= 18 is an exact float
+    worst = 0.0
+    for s in build_slitted(depth).slits:
         denom = (1 + s.alpha) if s.alpha <= 0 else (1 - s.alpha)
         ratio = s.half_height / denom
         if ratio > THREE_FIFTHS:
-            band_ok = False
-        u = math.log1p(float(s.alpha)) if s.alpha <= 0 else -math.log1p(-float(s.alpha))
+            raise ModelViolationError("slit image escapes the pi/5..4pi/5 band")
+        a = float(s.alpha)
+        u = math.log1p(a) if a <= 0 else -math.log1p(-a)
         half = math.pi / 2 * float(ratio)
-        out.append(
-            StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=math.pi / 2 + half,
-                      level=s.level, ratio=ratio)
-        )
-    if not band_ok:
-        raise ModelViolationError("slit image escapes the pi/5..4pi/5 band")
-
-    worst = 0.0
-    for s in out:
-        if s.level == 0:
-            continue
-        gaps = [abs(s.u - t.u) for t in out if t.level < s.level]
-        g = min(gaps)
-        if g > 0:
-            worst = max(worst, (s.im_hi - math.pi / 2) / g)
-    return StripModel(depth=depth, slits=out, band_ok=band_ok, closure_ratio=worst)
+        im_hi = math.pi / 2 + half
+        if s.level:
+            step = 2.0 ** -s.level
+            g = min(abs(u - u_at[b]) for b in (a - step, a + step) if b in u_at)
+            worst = max(worst, (im_hi - math.pi / 2) / g)
+        u_at[a] = u
+        out.append(StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=im_hi, level=s.level,
+                             ratio=ratio))
+    return StripModel(depth=depth, slits=out, band_ok=True, closure_ratio=worst)
 
 
 # ---------------------------------------------------------- slice embedding
@@ -705,7 +707,7 @@ class SliceEmbeddingReport:
     points: list[list[complex]]
 
 
-def slice_embedding(slc, lam, c, depth: int = 3, mesh: tuple[int, int] | None = None,
+def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
                     cfg: Config = Config()) -> SliceEmbeddingReport:
     """Sampled embedding of the upper half of the notched-square model into
     the dynamical plane: the Cantor boundary map q1 from the slice dynamics,

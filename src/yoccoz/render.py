@@ -16,8 +16,8 @@ class SvgCanvas:
     _bounds: list = field(default_factory=lambda: [math.inf, -math.inf, math.inf, -math.inf])
 
     def _track(self, pts):
-        xs = [p.real if isinstance(p, complex) else p[0] for p in pts]
-        ys = [p.imag if isinstance(p, complex) else p[1] for p in pts]
+        xs = [p.real for p in pts]
+        ys = [p.imag for p in pts]
         b = self._bounds
         b[0], b[1] = min(b[0], *xs), max(b[1], *xs)
         b[2], b[3] = min(b[2], *ys), max(b[3], *ys)
@@ -46,9 +46,7 @@ class SvgCanvas:
         s = min(sx, sy)
 
         def tx(p):
-            px = p.real if isinstance(p, complex) else p[0]
-            py = p.imag if isinstance(p, complex) else p[1]
-            return ((px - x0) * s, self.height - (py - y0) * s)
+            return ((p.real - x0) * s, self.height - (p.imag - y0) * s)
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
@@ -113,17 +111,16 @@ def render_model_squares(depth: int = 3) -> str:
     from .qcmodel import build_notched, build_slitted
 
     canvas = SvgCanvas()
-    canvas.polyline([(0, -0.5), (1, -0.5), (1, 0.5), (0, 0.5)], layer="notched",
-                    stroke="#222", width=1.2, closed=True)
+    canvas.polyline([complex(0, -0.5), complex(1, -0.5), complex(1, 0.5), complex(0, 0.5)],
+                    layer="notched", stroke="#222", width=1.2, closed=True)
     for sq in build_notched(depth).all_squares():
-        pts = [(float(sq.x0), float(sq.y0)), (float(sq.x1), float(sq.y0)),
-               (float(sq.x1), float(sq.y1)), (float(sq.x0), float(sq.y1))]
-        canvas.polygon(pts, layer="notched", fill="#88aadd77")
-    off = 1.5
-    canvas.polyline([(off - 1 + 2, -1), (off + 1 + 2, -1), (off + 1 + 2, 1), (off - 1 + 2, 1)],
+        x0, y0, x1, y1 = float(sq.x0), float(sq.y0), float(sq.x1), float(sq.y1)
+        canvas.polygon([complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)],
+                       layer="notched", fill="#88aadd77")
+    x = 3.5  # S' = (-1, 1)^2 drawn centred at x = 3.5, right of S
+    canvas.polyline([complex(x - 1, -1), complex(x + 1, -1), complex(x + 1, 1), complex(x - 1, 1)],
                     layer="slitted", stroke="#222", width=1.2, closed=True)
     for sl in build_slitted(depth).slits:
-        x = float(sl.alpha) + off + 2
-        h = float(sl.half_height)
-        canvas.polyline([(x, -h), (x, h)], layer="slitted", stroke="#c33", width=1.0)
+        z, h = float(sl.alpha) + x, float(sl.half_height)
+        canvas.polyline([complex(z, -h), complex(z, h)], layer="slitted", stroke="#c33", width=1.0)
     return canvas.to_svg()

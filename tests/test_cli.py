@@ -367,6 +367,28 @@ def test_qc_and_sobolev_commands(tmp_path):
     assert code == 0 and rep["violations"] == 0
 
 
+# A child that caps its own address space, then runs the CLI: a build that
+# outgrows the cap ends in that child with a MemoryError, not in the runner.
+_CAPPED_CLI = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from yoccoz.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args", [["qc", "strip"], ["sobolev", "verify"]])
+def test_depth_past_the_slit_bound_exits_1(args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *args, "--depth", "40"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stdout)
+    assert err["error"] == "ValueError"
+    assert "2199023255551 slits" in err["message"] and "524287" in err["message"]
+
+
 def test_qc_phi_deep_depth_from_one_block_per_level(tmp_path):
     """At depth 64 the atlas would hold about 6.6e20 cells; the report counts
     them in closed form and takes dilatations from one block per level.  The

@@ -11,6 +11,7 @@ from yoccoz import plgeom
 from yoccoz.plgeom import AffineMap
 from yoccoz import qcmodel as qc
 
+import strip_oracle
 from fixtures import MISIUREWICZ_THETA
 
 
@@ -44,6 +45,23 @@ def test_slit_count_and_angle_fact():
     ss = qc.build_slitted(7)
     assert len(ss.slits) == (1 << 8) - 1  # 1 + 2 + 4 + ... + 128
     assert all(s.angle_bounds_ok() for s in ss.slits)
+
+
+def test_slit_bound_is_checked_before_any_slit_is_built(monkeypatch):
+    def no_slit(*args):
+        raise AssertionError("a slit was built past the bound")
+
+    monkeypatch.setattr(qc, "Slit", no_slit)
+    with pytest.raises(ValueError, match=r"depth 19 has 1048575 slits, over the bound of "
+                                         r"524287 slits \(depth 18\)"):
+        qc.build_slitted(19)
+    with pytest.raises(ValueError, match=r"has 2\^1000000001 - 1 slits"):
+        qc.build_slitted(10**9)
+    monkeypatch.undo()
+    monkeypatch.setattr(qc, "MAX_SLITS", 7)
+    assert len(qc.build_slitted(2).slits) == 7
+    with pytest.raises(ValueError, match="15 slits, over the bound of 7 slits"):
+        qc.build_slitted(3)
 
 
 # ---------------------------------------------------------------- block map
@@ -369,13 +387,20 @@ def test_strip_model_symmetry_and_closure():
     assert model.closure_ratio < math.inf
 
 
+def test_strip_model_equals_the_pairwise_oracle():
+    """Each slit's two dyadic neighbours give the same gaps, and so the same
+    closure float, as a pass over every older slit."""
+    for d in range(11):
+        assert qc.strip_model(d) == strip_oracle.strip_model(d)
+
+
 # ------------------------------------------------------------------ slices
 
 
 def test_slice_embedding_report():
     lam = build(1, 2, MISIUREWICZ_THETA, 6)
     slc = lam.slice_data()
-    rep = qc.slice_embedding(slc, lam, c=-1, depth=3)
+    rep = qc.slice_embedding(slc, c=-1, depth=3)
     assert rep.q1_monotone
     assert rep.q1_at_zero == pytest.approx(float(slc.A.frac), abs=1e-12)
     assert max(rep.corner_errors) < 1e-9

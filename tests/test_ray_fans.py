@@ -217,6 +217,6 @@ def test_render_traces_each_window_once(monkeypatch, theta_v, q):
 def test_slice_embedding_rows_equal_the_oracle(monkeypatch):
     lam = build(1, 2, MISIUREWICZ_THETA, 6)
     slc = lam.slice_data()
-    new = qc.slice_embedding(slc, lam, c=-1, depth=2, mesh=(12, 4))
+    new = qc.slice_embedding(slc, c=-1, depth=2, mesh=(12, 4))
     monkeypatch.setattr(g, "trace_rays", oracle_fan)
-    assert qc.slice_embedding(slc, lam, c=-1, depth=2, mesh=(12, 4)) == new
+    assert qc.slice_embedding(slc, c=-1, depth=2, mesh=(12, 4)) == new
