@@ -93,16 +93,18 @@ class OrbitInfo:
     orbit: tuple[Angle, ...]
 
 
+def two_adic(n: int) -> int:
+    """The exponent of 2 in n > 0."""
+    return (n & -n).bit_length() - 1
+
+
 def orbit(theta: Angle) -> OrbitInfo:
-    """Exact preperiod/period of theta under doubling (rationals always cycle)."""
-    seen: dict[Angle, int] = {}
-    seq: list[Angle] = []
-    cur = theta
-    while cur not in seen:
-        seen[cur] = len(seq)
+    """Exact preperiod/period of theta under doubling: over den = 2^a b (b odd)
+    the preperiod is a, and the period the return time of 2^a theta."""
+    pre = two_adic(theta.den)
+    seq = [double(theta, m) for m in range(pre + 1)]
+    while (cur := double(seq[-1])) != seq[pre]:
         seq.append(cur)
-        cur = double(cur)
-    pre = seen[cur]
     return OrbitInfo(preperiod=pre, period=len(seq) - pre, orbit=tuple(seq))
 
 

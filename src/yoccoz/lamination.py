@@ -40,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from fractions import Fraction
 
-from .angles import Angle, ArcPosition, double, from_fraction, in_arc, normalize
+from .angles import Angle, ArcPosition, double, from_fraction, in_arc, normalize, two_adic
 from .errors import (
     Case1DegenerateError,
     InvalidThetaError,
@@ -50,6 +50,7 @@ from .errors import (
 )
 
 MAX_MATERIALIZED_DEPTH = 18
+MAX_TRACE_ARCS = 1 << 20  # arcs of one gap trace; 2^20 arcs take about 4.5 s and 270 MB
 NEVER = math.inf  # separation level of two angles that no level separates
 
 
@@ -76,11 +77,6 @@ def alpha_cycle(p: int, q: int) -> list[Angle]:
         orbit.append(num)
         num = 2 * num % den
     return [Angle(v, den) for v in sorted(orbit)]
-
-
-def _two_adic(n: int) -> int:
-    """The exponent of 2 in n > 0."""
-    return (n & -n).bit_length() - 1
 
 
 Arc = tuple[int, int]  # open ccw arc (start, end): numerators over one D_n
@@ -165,10 +161,7 @@ class Lamination:
         self._sectors = [(c, nums[(i + 1) % q]) for i, c in enumerate(nums)]
         num, den = theta_v.num, theta_v.den
         self.critical_leaf = (normalize(num, 2 * den), normalize(num + den, 2 * den))
-
-        orbit, self._orbit_pos, last = self._critical_value_orbit()
-        self._orbit_pairs = orbit
-        self.entry_step = len(orbit) if last is None else None
+        self.entry_step = self.vertex_entry_step(theta_v)
         # the critical-value sector is the shortest
         s = min(range(q), key=lambda i: (self._sectors[i][1] - self._sectors[i][0]) % full)
         self.sector = (cyc[s], cyc[(s + 1) % q])
@@ -189,6 +182,8 @@ class Lamination:
         for j in range(depth):
             self.layers.append(self._split(self.layers[j], j))
 
+        orbit, self._orbit_pos, last = self._critical_value_orbit()
+        self._orbit_pairs = orbit
         self._succ = list(range(1, len(orbit))) + [last]
         to_value = self._critical_values()
         h = self.critical_leaf[0]
@@ -213,41 +208,38 @@ class Lamination:
 
     def _critical_value_orbit(self):
         """The critical-value orbit c_k = 2^k theta_v up to its first repeat or
-        its first cycle angle (late landing): reduced (num, den) pairs, their
+        its entry step (late landing): reduced (num, den) pairs, their
         positions, and the slot that the last point doubles to (None: a cycle
         angle).  Over D = 2^a b (b odd), c_k is x_k / D reduced by 2^min(k, a),
         periodic iff k >= a, so c_a is the first to come back."""
         D = self.theta_v.den
-        a = _two_adic(D)
+        a = two_adic(D)
         orbit, pos = [], []
         for k, (x, where) in enumerate(self._points(self.theta_v.num, D)):
             j = min(k, a)
+            if k == self.entry_step:
+                return orbit, pos, None
             if k > a and (x >> j, D >> j) == orbit[a]:
                 return orbit, pos, a
-            if where is None:
-                return orbit, pos, None
             orbit.append((x >> j, D >> j))
             pos.append(where)
 
     def _points(self, num: int, den: int):
         """The orbit of num/den under doubling, as (x, position) for its points
         x/den, x = 2^m num mod den, m = 0, 1, ...; the position is (level-0
-        sector, leaf side), or None at a cycle angle.  Over one denominator a
-        doubling is a shift and a subtraction, x/den lies past the cycle angle
-        c/(2^q - 1) iff c den < x (2^q - 1), a bisection over thresholds set
-        once, and inside the leaf arc (h, h + 1/2) iff lo < x and 2x < hi for
-        the integer bounds lo = floor(h den) and hi = ceil((2h + 1) den)."""
+        sector, leaf side), meaningless at a cycle angle, where the callers
+        stop (vertex_entry_step).  Over one denominator a doubling is a shift
+        and a subtraction, x/den lies past the cycle angle c/(2^q - 1) iff
+        c den < x (2^q - 1), a bisection over thresholds set once, and inside
+        the leaf arc (h, h + 1/2) iff lo < x and 2x < hi for the integer
+        bounds lo = floor(h den) and hi = ceil((2h + 1) den)."""
         q, h = self.q, self.critical_leaf[0]
         thresholds = [c * den for c in self._cycle_nums]
         lo, hi = h.num * den // h.den, -(-(2 * h.num + h.den) * den // h.den)
         x = num
         while True:
-            v = (x << q) - x
-            i = bisect_left(thresholds, v)
-            if i < q and thresholds[i] == v:
-                yield x, None
-            else:
-                yield x, ((i - 1) % q, 0 if lo < x and 2 * x < hi else 1)
+            i = bisect_left(thresholds, (x << q) - x)
+            yield x, ((i - 1) % q, 0 if lo < x and 2 * x < hi else 1)
             x *= 2
             if x >= den:
                 x -= den
@@ -378,16 +370,18 @@ class Lamination:
         vertex at this level)."""
         self.guard_level(level, u, w)
         cap = level + 1
+        # 2^s u = 2^s w iff 2^s (u - w) is an integer: the orbits meet at step
+        # s if u - w has denominator 2^s, else never
+        d = (u.frac - w.frac).denominator
+        meet = two_adic(d) if d & (d - 1) == 0 else cap
+        hits = (self.vertex_entry_step(u), self.vertex_entry_step(w))
         # walk the pair's orbits to their first sector split; every leaf
         # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
         flips, stop = [], cap
-        pair = zip(range(cap), self._points(u.num, u.den), self._points(w.num, w.den))
-        for j, (x, at_u), (y, at_w) in pair:
-            if x * w.den == y * u.den:
-                break
-            for z, den, where in ((x, u.den, at_u), (y, w.den, at_w)):
-                if where is None:
-                    raise YoccozError(f"{normalize(z, den)} is a cycle angle")
+        pair = zip(range(min(cap, meet)), self._points(u.num, u.den), self._points(w.num, w.den))
+        for j, (_, at_u), (_, at_w) in pair:
+            if j in hits:
+                raise YoccozError(f"{double(u if j == hits[0] else w, j)} is a cycle angle")
             if at_u[0] != at_w[0]:
                 stop = j
                 break
@@ -403,7 +397,7 @@ class Lamination:
         den = 2^a b (b odd), 2^m theta has an even denominator for m < a and
         2^a theta = (num mod b)/b is periodic, as the cycle is: the orbit
         meets the cycle at step a, if (num mod b)/b = c/(2^q - 1), or never."""
-        a = _two_adic(theta.den)
+        a = two_adic(theta.den)
         b, full = theta.den >> a, (1 << self.q) - 1
         return a if full % b == 0 and theta.num % b * (full // b) in self._cycle_nums else None
 
@@ -467,12 +461,18 @@ class Lamination:
     def trace(self, level: int, theta: Angle) -> tuple[Arc, ...]:
         """Circle trace (boundary arcs) of the level gap containing theta, as
         sorted numerator pairs over D_level: the sector of 2^level theta,
-        pulled back along the orbit."""
+        pulled back along the orbit.  A pullback keeps both halves iff the
+        image gap holds theta_v, so the arc count is 2^#{m : r[m+1] >= level - m},
+        checked against MAX_TRACE_ARCS before any arc is built."""
         self.guard_level(level, theta)
         rec = self.orbit(theta, level)
         if rec.hit is not None:
             raise YoccozError(f"{theta} is a vertex at depth <= {level}")
         pos, r = rec.pos, rec.to_value
+        count = 1 << sum(r[m + 1] >= level - m for m in range(level))
+        if count > MAX_TRACE_ARCS:
+            raise ValueError(f"the level-{level} trace of {theta} has {count} arcs, over the "
+                             f"bound of MAX_TRACE_ARCS = {MAX_TRACE_ARCS} arcs")
         arcs = (self._sectors[pos[level][0]],)
         for m in range(level - 1, -1, -1):
             j = level - m  # the level of the gap of 2^m theta

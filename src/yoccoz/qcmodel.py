@@ -549,7 +549,8 @@ def strip_model(depth: int) -> StripModel:
     Slits sit inside the hull where the diamond map is the identity, and rho+-
     keeps them vertical; the image of x = alpha, |y| <= h is the segment at
     u = -+log(1 -+ alpha) with |Im - pi/2| <= (pi/2) h/(1 -+ alpha).  The band
-    bound is exactly Fact angle's 3/5, checked in exact arithmetic.
+    bound is exactly Fact angle's 3/5, checked on an integer: for
+    alpha = p/2^k the ratio h/(1 -+ alpha) is 3/(5 (2^k - |p|)).
     Each slit's closure gap, to the nearest older (lower-level) slit, is read
     at its dyadic neighbours alpha +- 2^-level that are slits (+-1 is the
     edge): none lies between, and u increases with alpha.
@@ -558,13 +559,12 @@ def strip_model(depth: int) -> StripModel:
     u_at = {}  # float(alpha) -> u; a dyadic of level <= 18 is an exact float
     worst = 0.0
     for s in build_slitted(depth).slits:
-        denom = (1 + s.alpha) if s.alpha <= 0 else (1 - s.alpha)
-        ratio = s.half_height / denom
-        if ratio > THREE_FIFTHS:
+        n = (1 << s.level) - abs(s.alpha.numerator)
+        if n < 1:
             raise ModelViolationError("slit image escapes the pi/5..4pi/5 band")
         a = float(s.alpha)
         u = math.log1p(a) if a <= 0 else -math.log1p(-a)
-        half = math.pi / 2 * float(ratio)
+        half = math.pi / 2 * (3 / (5 * n))
         im_hi = math.pi / 2 + half
         if s.level:
             step = 2.0 ** -s.level
@@ -572,7 +572,7 @@ def strip_model(depth: int) -> StripModel:
             worst = max(worst, (im_hi - math.pi / 2) / g)
         u_at[a] = u
         out.append(StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=im_hi, level=s.level,
-                             ratio=ratio))
+                             ratio=Fraction(3, 5 * n)))
     return StripModel(depth=depth, slits=out, band_ok=True, closure_ratio=worst)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import Angle, from_fraction
+from .angles import Angle, from_fraction, two_adic
 from .errors import Case1DegenerateError
 from .lamination import Lamination
 
@@ -89,17 +89,18 @@ class BinaryExpansion:
 
 
 def angle_to_expansion(theta: Angle) -> BinaryExpansion:
-    """Canonical expansion by long division (dyadics get the terminating form)."""
-    seen: dict[int, int] = {}
+    """Canonical expansion by long division (dyadics get the terminating form):
+    the m-th remainder is 2^m theta, so the prefix has angles.orbit's preperiod."""
     digits: list[str] = []
     x, den = theta.num, theta.den  # the remainder x/den
-    while x not in seen:
-        seen[x] = len(digits)
+    pre, start = two_adic(den), None
+    while x != start:
+        if len(digits) == pre:
+            start = x
         x *= 2
         digits.append("1" if x >= den else "0")
         x %= den
-    start = seen[x]
-    return BinaryExpansion(prefix="".join(digits[:start]), cycle="".join(digits[start:]))
+    return BinaryExpansion(prefix="".join(digits[:pre]), cycle="".join(digits[pre:]))
 
 
 def tune(a0: str, a1: str, theta: BinaryExpansion | Angle) -> BinaryExpansion:

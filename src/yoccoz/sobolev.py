@@ -244,10 +244,11 @@ class SlitboundsReport:
     skipped: int = 0
 
 
-def _trial_function(slits, xs, ys, rng):
+def _trial_function(usable, xs, ys, rng):
     """Random unit-energy test data: smooth bumps plus components that jump
-    across slit segments but stay continuous off them (the lemma's remark is
-    exactly about this neither-open-nor-closed continuity)."""
+    across slit segments (two of the usable ones) but stay continuous off them
+    (the lemma's remark is exactly about this neither-open-nor-closed
+    continuity)."""
     X, Y = np.meshgrid(xs, ys)
     f = np.zeros_like(X)
     for _ in range(rng.integers(2, 5)):
@@ -255,7 +256,6 @@ def _trial_function(slits, xs, ys, rng):
         cy = rng.uniform(0.15, math.pi - 0.15)
         s = rng.uniform(0.3, 1.2)
         f += rng.normal() * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
-    usable = [s for s in slits if abs(s.u) < xs[-1] * 0.7 and s.im_hi - s.im_lo > 4 * (ys[1] - ys[0])]
     if usable:
         for k in rng.choice(len(usable), size=min(2, len(usable)), replace=False):
             s = usable[int(k)]
@@ -268,13 +268,17 @@ def _trial_function(slits, xs, ys, rng):
 
 
 def _cut_edges(slits, xs, ys):
-    cut = np.zeros((len(ys), len(xs) - 1), dtype=bool)
-    for s in slits:
-        j = int(np.searchsorted(xs, s.u)) - 1
-        if 0 <= j < len(xs) - 1:
-            rows = (ys >= s.im_lo) & (ys <= s.im_hi)
-            cut[rows, j] = True
-    return cut
+    """The x-edges that slits cut: edge j of row i, if some slit has
+    xs[j] < u <= xs[j + 1] and im_lo <= ys[i] <= im_hi.  A slit's rows are one
+    run of the sorted ys, so each adds +1 at its first row and -1 past its
+    last in its column, and a running sum over the rows marks the cut."""
+    u, lo, hi = (np.array([getattr(s, key) for s in slits]) for key in ("u", "im_lo", "im_hi"))
+    j = np.searchsorted(xs, u) - 1
+    keep = (j >= 0) & (j < len(xs) - 1)
+    marks = np.zeros((len(ys) + 1, len(xs) - 1), dtype=np.int64)
+    np.add.at(marks, (np.searchsorted(ys, lo[keep]), j[keep]), 1)
+    np.add.at(marks, (np.searchsorted(ys, hi[keep], side="right"), j[keep]), -1)
+    return np.cumsum(marks, axis=0)[:-1] > 0
 
 
 def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
@@ -294,6 +298,8 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
     h, xs = _strip_grid(T, ny)
     ys = np.linspace(0.0, math.pi, ny)
     cut = _cut_edges(model.slits, xs, ys)
+    usable = [s for s in model.slits
+              if abs(s.u) < xs[-1] * 0.7 and s.im_hi - s.im_lo > 4 * (ys[1] - ys[0])]
     c_kernel = kernel_constant()
     parts = {"i00_coeff": 25.0, "i11_coeff": 25.0, "i01_via_cs": 4 * 25.0,
              "jump_term": 1.0 * c_kernel, "kernel_constant": c_kernel}
@@ -303,7 +309,7 @@ def verify_slitbounds(model, trials: int = 20, seed: int = 0, T: float = 8.0,
     skipped = violations = 0
     below = ys <= math.pi / 5 + 1e-12
     for _ in range(trials):
-        f = _trial_function(model.slits, xs, ys, rng)
+        f = _trial_function(usable, xs, ys, rng)
         gf = GridFunction(h=h, origin=(-T, 0.0), values=f, cut_x_edges=cut)
         e = dirichlet_norm(gf)
         if e < 1e-8:

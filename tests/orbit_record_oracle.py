@@ -10,9 +10,11 @@ library builds one orbit record per (angle, level) and answers all of them
 from it; the tests check that both agree, errors included.
 
 The record's cycle hit, ``is_vertex`` and ``vertex_entry_step`` then walked
-the orbit over one denominator (``Lamination._points``) until it reached a
-cycle angle; the library reads them in closed form from the 2-adic valuation
-of the denominator.  Those three walks are kept here as well.
+the orbit over one denominator until it reached a cycle angle, testing every
+point against the cycle (``points``); the library reads them in closed form
+from the 2-adic valuation of the denominator.  Those three walks are kept
+here as well, with the per-point cycle test that ``Lamination._points`` no
+longer makes.
 """
 
 from bisect import bisect_left, bisect_right
@@ -83,11 +85,30 @@ def is_vertex(lam, theta, level):
     return False
 
 
+def points(lam, num, den):
+    """Lamination._points with its per-point cycle test: (x, position) for
+    x = 2^m num mod den, m = 0, 1, ..., the position None at a cycle angle."""
+    q, h = lam.q, lam.critical_leaf[0]
+    thresholds = [c * den for c in lam._cycle_nums]
+    lo, hi = h.num * den // h.den, -(-(2 * h.num + h.den) * den // h.den)
+    x = num
+    while True:
+        v = (x << q) - x
+        i = bisect_left(thresholds, v)
+        if i < q and thresholds[i] == v:
+            yield x, None
+        else:
+            yield x, ((i - 1) % q, 0 if lo < x and 2 * x < hi else 1)
+        x *= 2
+        if x >= den:
+            x -= den
+
+
 def orbit_hit_walk(lam, theta, level):
     """Lamination.orbit's forward walk: the least m <= level at which 2^m theta
     is a cycle angle (else None), and the positions of the points before it."""
     pos = []
-    for m, (_, where) in zip(range(level + 1), lam._points(theta.num, theta.den)):
+    for m, (_, where) in zip(range(level + 1), points(lam, theta.num, theta.den)):
         if where is None:
             return m, pos
         pos.append(where)
@@ -96,8 +117,8 @@ def orbit_hit_walk(lam, theta, level):
 
 def is_vertex_walk(lam, theta, level):
     """Bounded walk: does the orbit meet the cycle within `level` doublings?"""
-    points = islice(lam._points(theta.num, theta.den), level + 1)
-    return any(where is None for _, where in points)
+    walk = islice(points(lam, theta.num, theta.den), level + 1)
+    return any(where is None for _, where in walk)
 
 
 def vertex_entry_walk(lam, theta):
@@ -105,7 +126,7 @@ def vertex_entry_walk(lam, theta):
     with m >= a (den = 2^a b, b odd) are multiples of 2^a, and doubling
     permutes them, so the first point to come back is x_a."""
     a = (theta.den & -theta.den).bit_length() - 1
-    for m, (x, where) in enumerate(lam._points(theta.num, theta.den)):
+    for m, (x, where) in enumerate(points(lam, theta.num, theta.den)):
         if where is None:
             return m
         if m == a:
@@ -148,7 +169,9 @@ def orbit_leaf_levels(lam, theta, n):
 
 
 def separation(lam, level, u, w):
-    """min(L(u, w), level + 1)."""
+    """min(L(u, w), level + 1), testing at every step whether the two reduced
+    pairs have met."""
+    lam.guard_level(level, u, w)
     cap = level + 1
     flips, stop = [], cap
     x, y = (u.num, u.den), (w.num, w.den)
@@ -169,7 +192,6 @@ def separation(lam, level, u, w):
 
 
 def same_gap(lam, level, u, w):
-    lam.guard_level(level, u, w)
     return separation(lam, level, u, w) > level
 
 

@@ -5,6 +5,10 @@ shifted boundary data, sums the kernel-weighted squared differences over the
 window and adds the weighted sum to the total.  ``sobolev._pair_integral``
 evaluates all nodes as one array and takes the row sums at once; the tests
 check that both give the same float and the same divergence error.
+
+``cut_edges`` marks the grid edges that slits cut one slit at a time, with a
+``searchsorted`` and a row mask each; ``sobolev._cut_edges`` does it in one
+pass over all slits, and the tests check that both give the same matrix.
 """
 
 import numpy as np
@@ -29,3 +33,13 @@ def pair_integral(fi: BoundaryFn, fj: BoundaryFn, i: int, j: int, T: float) -> f
     if (i + j) % 2:
         return value(1e-4)  # bounded kernel, no singularity
     return _refined(value, lambda v1, v2: f"I{i}{j} diverges under refinement")
+
+
+def cut_edges(slits, xs, ys):
+    cut = np.zeros((len(ys), len(xs) - 1), dtype=bool)
+    for s in slits:
+        j = int(np.searchsorted(xs, s.u)) - 1
+        if 0 <= j < len(xs) - 1:
+            rows = (ys >= s.im_lo) & (ys <= s.im_hi)
+            cut[rows, j] = True
+    return cut

@@ -13,6 +13,8 @@ from yoccoz.angles import (
     orbit,
 )
 
+import preperiod_oracle
+
 rational_angles = st.builds(
     lambda p, q: normalize(p, q), st.integers(-500, 500), st.integers(1, 500)
 )
@@ -62,6 +64,12 @@ def test_orbit_period_divides_multiplicative_order():
             acc = (2 * acc) % tail.den
             order += 1
         assert order % info.period == 0 and info.period == order
+
+
+def test_orbit_preperiod_from_the_denominator():
+    """The preperiod read from the 2-adic valuation against the seen-dict walk."""
+    for theta in preperiod_oracle.sample_angles():
+        assert orbit(theta) == preperiod_oracle.orbit(theta), theta
 
 
 def test_in_arc_examples():

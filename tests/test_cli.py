@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ def lam_json(tmp_path):
 
 
 def test_lamination_counts(lam_json):
-    data = json.load(open(lam_json))
+    data = json.loads(Path(lam_json).read_text())
     assert len(data["polygons"]) == 7
     for j, layer in enumerate(data["polygons"]):
         assert len(layer) == 1 << j
@@ -60,7 +61,7 @@ def test_edited_lamination_file_exits_1(tmp_path, lam_json, edit):
     import contextlib
     import io
 
-    data = json.load(open(lam_json))
+    data = json.loads(Path(lam_json).read_text())
     if edit == "polygon":
         poly = data["polygons"][3][2]
         poly[0] = "1/5" if poly[0] != "1/5" else "1/7"
@@ -159,7 +160,7 @@ def test_tile_case1_trivial(tmp_path):
         tmp_path,
     )
     assert code == 0
-    rep = json.load(open(out_path))
+    rep = json.loads(Path(out_path).read_text())
     assert rep["case"] == "TrivialCase1"
     assert rep["tiles"] == [{"level": 8, "whole_piece": True}]
 
@@ -177,7 +178,7 @@ def test_tile_case3(tmp_path):
         tmp_path,
     )
     assert code == 0
-    rep = json.load(open(out_path))
+    rep = json.loads(Path(out_path).read_text())
     assert rep["case"] == "Recurrent" and rep["L"] == 14
     assert rep["tiles"] and all(t["level"] <= 19 for t in rep["tiles"])
 
@@ -389,6 +390,22 @@ def test_depth_past_the_slit_bound_exits_1(args):
     assert "2199023255551 slits" in err["message"] and "524287" in err["message"]
 
 
+def test_trace_past_the_arc_bound_exits_1(tmp_path):
+    """`tile --level 200` on 222/511: the critical piece's trace would hold
+    2^23 arcs, and the count is refused before any arc is built."""
+    lam = str(tmp_path / "lam9.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "8", "--out", lam], tmp_path)[0] == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "tile", "--lam", lam,
+                           "--level", "200"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    err = json.loads(proc.stdout)
+    assert err["error"] == "ValueError"
+    assert "8388608 arcs" in err["message"] and "MAX_TRACE_ARCS = 1048576" in err["message"]
+
+
 def test_qc_phi_deep_depth_from_one_block_per_level(tmp_path):
     """At depth 64 the atlas would hold about 6.6e20 cells; the report counts
     them in closed form and takes dilatations from one block per level.  The
@@ -484,7 +501,7 @@ def test_render_writes_svg(tmp_path, lam_json):
         tmp_path,
     )
     assert code == 0
-    svg = open(out_path).read()
+    svg = Path(out_path).read_text()
     assert svg.startswith("<svg") and 'id="rays"' in svg and 'id="pieces"' in svg
 
 
@@ -499,7 +516,7 @@ def test_render_level_0_draws_the_q_sectors(tmp_path, q, theta_v, c):
     code, out = run_cli(["render", "--lam", lam_path, f"--c={c}", "--level", "0",
                          "--out", out_path], tmp_path)
     assert code == 0 and out == out_path + "\n"
-    pieces = open(out_path).read().split('<g id="pieces">')[1].split("</g>")[0]
+    pieces = Path(out_path).read_text().split('<g id="pieces">')[1].split("</g>")[0]
     assert pieces.count("<polygon") == q
 
 
@@ -617,8 +634,6 @@ def test_model_report_script_runs(tmp_path):
     """scripts/model_report.py at a small size: it calls the qcmodel, sobolev
     and render functions by their keyword parameters, so it fails if one it
     uses is removed."""
-    from pathlib import Path
-
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, str(root / "scripts" / "model_report.py"),

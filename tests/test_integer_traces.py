@@ -181,3 +181,17 @@ def test_critical_piece_makes_no_angle_per_pulled_back_arc(lam3, monkeypatch):
     created.clear()
     oracle.trace(lam3, 60, lam3.critical_leaf[0])
     assert len(created) > 10 * 2 * arcs, "the guard would not see per-arc Angles"
+
+
+def test_trace_counts_its_arcs_before_building_one(lam3, monkeypatch):
+    """The arc count 2^#{m < n : r[m+1] >= n - m} read from the orbit record
+    equals the trace's length on the critical piece; past MAX_TRACE_ARCS the
+    trace raises before it pulls back any arc."""
+    theta = lam3.critical_leaf[0]
+    for n in range(0, 121, 4):
+        r = lam3.orbit(theta, n).to_value
+        assert len(lam3.trace(n, theta)) == 1 << sum(r[m + 1] >= n - m for m in range(n)), n
+    monkeypatch.setattr(Lamination, "_pull_back", lambda *args: pytest.fail("built an arc"))
+    with pytest.raises(ValueError, match=r"has 8388608 arcs, over the bound of "
+                                         r"MAX_TRACE_ARCS = 1048576"):
+        lam3.trace(200, theta)

@@ -388,3 +388,45 @@ def test_vertex_draws_walk_no_point(monkeypatch):
         if theta not in vertices:
             tl.residual_member(lam, theta, CASE3_P, CASE3_L, 40)
     assert len(steps) == 41 * (len(draws) - len(vertices))
+
+
+# ------------------------------------------ the meeting step from the denominator
+
+
+def test_separation_reads_the_meeting_step_from_the_denominator(entry_lams):
+    """separation and same_gap against the reduced-pair walk, which tests at
+    every step whether the pair has met, errors included.  The pairs are
+    w = u + k/2^s (k odd), whose orbits meet at step s, with s below, at and
+    above the walk's cap level + 1, and pairs of two unrelated angles; u and
+    w are cycle preimages (vertices from some depth on) or random angles, so
+    either or both can reach a cycle angle before or at the step where the
+    pair splits or meets."""
+    rng = random.Random(26)
+    seen = set()
+    for lam in entry_lams:
+
+        def draw():
+            a = rng.randrange(8)
+            if rng.random() < 0.5:  # 2^a of it is a cycle angle
+                c = rng.choice(lam.cycle)
+                return normalize(c.num + c.den * rng.randrange(1 << a), c.den << a)
+            den = rng.randrange(3, 4000, 2) << a
+            return normalize(rng.randrange(den), den)
+
+        for _ in range(400):
+            u, level = draw(), rng.randrange(12)
+            if rng.random() < 0.7:
+                meet = rng.randrange(1, 15)
+                k = 2 * rng.randrange(1 << (meet - 1)) + 1
+                w = normalize((u.num << meet) + k * u.den, u.den << meet)
+            else:
+                w, meet = draw(), None
+            for x, y in ((u, w), (w, u)):
+                got = outcome(lam.separation, level, x, y)
+                assert got == outcome(oracle.separation, lam, level, x, y), (x, y, level)
+                assert outcome(lam.same_gap, level, x, y) == \
+                    outcome(oracle.same_gap, lam, level, x, y), (x, y, level)
+                kind = "value" if isinstance(got, int) else got[0]
+                seen.add((kind, None if meet is None else (meet > level + 1) - (meet < level + 1)))
+    assert seen == {(kind, m) for kind in ("value", "YoccozError", "Case1DegenerateError")
+                    for m in (None, -1, 0, 1)}, seen

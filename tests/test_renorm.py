@@ -7,6 +7,7 @@ from yoccoz.angles import normalize
 from yoccoz.lamination import RayPairRelation, build
 from yoccoz import renorm as rn
 
+import preperiod_oracle
 from fixtures import (
     AIRPLANE_THETA,
     CASE3_THETA,
@@ -74,6 +75,13 @@ def test_expansion_matches_fraction_long_division(pair):
     start = seen[x]
     exp = rn.angle_to_expansion(theta)
     assert (exp.prefix, exp.cycle) == ("".join(digits[:start]), "".join(digits[start:]))
+
+
+def test_expansion_prefix_from_the_denominator():
+    """The prefix length read from the 2-adic valuation against the seen-dict
+    long division."""
+    for theta in preperiod_oracle.sample_angles():
+        assert rn.angle_to_expansion(theta) == preperiod_oracle.angle_to_expansion(theta), theta
 
 
 def test_tune_identity_substitution():

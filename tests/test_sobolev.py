@@ -7,7 +7,7 @@ from yoccoz.errors import NotFiniteEnergyError, YoccozError
 from yoccoz import qcmodel as qc
 from yoccoz import sobolev as sb
 
-from sobolev_oracle import pair_integral
+from sobolev_oracle import cut_edges, pair_integral
 from sor_oracle import sor_extension_strip
 
 
@@ -216,3 +216,15 @@ def test_verify_slitbounds():
     parts = rep.b_proof_parts
     assert parts["i00_coeff"] == 25.0 and parts["i01_via_cs"] == 100.0
     assert parts["kernel_constant"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("depth", [0, 3, 8, 12])
+def test_cut_edges_match_the_slit_loop(depth):
+    """The one-pass cut matrix against the slit-by-slit loop, on the grid that
+    verify_slitbounds uses and on a coarse one with many slits per column and
+    many outside the window."""
+    slits = qc.strip_model(depth).slits
+    for T, ny in ((8.0, 65), (2.0, 9)):
+        _, xs = sb._strip_grid(T, ny)
+        ys = np.linspace(0.0, math.pi, ny)
+        assert np.array_equal(sb._cut_edges(slits, xs, ys), cut_edges(slits, xs, ys)), (T, ny)
