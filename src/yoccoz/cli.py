@@ -340,16 +340,16 @@ def cmd_qc(args, cfg):
         n = args.grid
         if n < 1:
             raise ValueError("grid must be >= 1")
-        worst, where = 0.0, None
+        # column x = i/n holds the points y = (1 - |x|) j/m, |j| <= m = int((1 - |x|) n),
+        # of shear s = j/m; the dilatation grows with |s|, so the grid's first
+        # maximum is j = -m (s = -1) in the first column with m >= 1
         for i in range(-n + 1, n):  # diamond tips excluded: zero-size fibers
             x = i / n
-            m = int((1 - abs(x)) * n)
-            for j in range(-m, m + 1):
-                y = (1 - abs(x)) * (j / m) if m else 0.0
-                k = qc.shear_dilatation(abs(qc.DiamondToStrip.shear(x, y)))
-                if k > worst:
-                    worst, where = k, (x, y)
-        _emit(_report(cfg, grid=n, max_dilatation=worst, at=where, bound=3.0), args.out)
+            if int((1 - abs(x)) * n):
+                break
+        y = -(1 - abs(x))
+        worst = qc.shear_dilatation(abs(qc.DiamondToStrip.shear(x, y)))
+        _emit(_report(cfg, grid=n, max_dilatation=worst, at=(x, y), bound=3.0), args.out)
     else:  # strip
         model = qc.strip_model(args.depth)
         import math

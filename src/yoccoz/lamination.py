@@ -19,13 +19,14 @@ shortest-path search at build time, and L against any other orbit one
 backward pass capped at the query level: no recursion, no memo, any level
 (2^40 polygons cannot be stored).  A query angle gets one orbit record
 (``Lamination.orbit``).  Over den = 2^a b (b odd) its orbit is periodic from
-2^a theta on, so it meets the alpha cycle (a vertex) there or never
-(``vertex_entry_step``).  Off the cycle, one forward walk gives the positions
-of its orbit, and one backward pass over the critical orbit slots of each
-position's sector gives the capped levels, which answer every level up to
-the record's.  The images of the critical piece read the reach
-r_k = k + 1 + l_k of c_k = 2^k theta_v (``reach``), the critical column of
-the Branner-Hubbard tableau: f^j(P_m(0)) is critical iff r_{j-1} > m.
+2^a theta on, so it meets the alpha cycle (a vertex, which the record
+refuses) there or never (``vertex_entry_step``).  Off the cycle, one forward
+walk gives the positions of its orbit, and one backward pass over the
+critical orbit slots of each position's sector gives the capped levels,
+which answer every level up to the record's.  The images of the critical
+piece read the reach r_k = k + 1 + l_k of c_k = 2^k theta_v (``reach``), the
+critical column of the Branner-Hubbard tableau: f^j(P_m(0)) is critical iff
+r_{j-1} > m.
 Tests cross-check the queries against the stored lists.
 """
 
@@ -46,11 +47,13 @@ from .errors import (
     InvalidThetaError,
     NeedsDeeperLaminationError,
     NotFoundWithinBudgetError,
+    OrbitHitsAlphaError,
     YoccozError,
 )
 
 MAX_MATERIALIZED_DEPTH = 18
 MAX_TRACE_ARCS = 1 << 20  # arcs of one gap trace; 2^20 arcs take about 4.5 s and 270 MB
+MAX_POLYGONS = 1 << 16  # polygons inside one gap; 2^16 take about 18 s and 320 MB in `tile`
 NEVER = math.inf  # separation level of two angles that no level separates
 
 
@@ -117,23 +120,22 @@ class SliceData:
     q: int
 
 
+def _two_sided(to_value: list, level: int) -> int:
+    """The pull-back steps of a level gap that keep both halves: the m < level
+    whose image gap (level - m) holds theta_v, r[m + 1] >= level - m."""
+    return sum(to_value[m + 1] >= level - m for m in range(level))
+
+
 @dataclass(frozen=True, slots=True)
 class Orbit:
-    """The orbit record of a query angle to ``level`` (Lamination.orbit)."""
+    """The orbit record to ``level`` of a query angle whose orbit misses the
+    alpha cycle up to that level (Lamination.orbit)."""
 
     theta: Angle
-    hit: int | None  # least m <= level with 2^m theta a cycle angle (a vertex), else None
-    pos: list[tuple[int, int]]  # (sector, leaf side) of 2^m theta for m = 0..level; [] on a hit
-    to_value: list  # min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1; [] on a hit
-    leaf: list  # min(L(2^m theta, leaf), level + 1 - m) for m = 0..level; [] on a hit
+    pos: list[tuple[int, int]]  # (sector, leaf side) of 2^m theta for m = 0..level
+    to_value: list  # min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1
+    leaf: list  # min(L(2^m theta, leaf), level + 1 - m) for m = 0..level
     cells: int  # row cells the backward pass visited
-
-
-def _off_cycle(rec: Orbit) -> Orbit:
-    """The record, if its orbit misses the alpha cycle up to its level."""
-    if rec.hit is not None:
-        raise YoccozError(f"{double(rec.theta, rec.hit)} is a cycle angle")
-    return rec
 
 
 class RayPairRelation(enum.Enum):
@@ -276,11 +278,6 @@ class Lamination:
         return tuple(Angle(*c) for c in self._orbit_pairs)
 
     @cached_property
-    def _orbit_index(self) -> dict[tuple[int, int], int]:
-        """(num, den) of c_k -> k, built on the first late-landing guard."""
-        return {x: k for k, x in enumerate(self._orbit_pairs)}
-
-    @cached_property
     def polygons(self) -> list[list[tuple[Angle, ...]]]:
         """The layers as vertex tuples of reduced angles (cyclically ordered,
         smallest first), built on first read."""
@@ -322,20 +319,18 @@ class Lamination:
     # --------------------------------------------------------------- queries
 
     def orbit(self, theta: Angle, level: int) -> Orbit:
-        """The orbit record of theta to ``level``: its cycle hit from
-        vertex_entry_step and, if it meets none by ``level``, one forward walk
-        and one backward pass.  Its capped values answer every level m <= level
-        too: min(L, m + 1 - k) equals min(min(L, level + 1 - k), m + 1 - k)."""
+        """The orbit record of theta to ``level``: one forward walk and one
+        backward pass.  Its capped values answer every level m <= level too:
+        min(L, m + 1 - k) equals min(min(L, level + 1 - k), m + 1 - k).  A
+        vertex of depth <= level is refused (_refuse_vertex)."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        e = self.vertex_entry_step(theta)
-        if e is not None and e <= level:
-            return Orbit(theta, e, [], [], [], 0)
+        self._refuse_vertex(theta, level)
         pos = [where for _, where in islice(self._points(theta.num, theta.den), level + 1)]
         to_value, cells = self._backward(pos, level)
         leaf = [0 if s != self._leaf_sector else 1 + to_value[m + 1]
                 for m, (s, _) in enumerate(pos)]
-        return Orbit(theta, None, pos, to_value, leaf, cells)
+        return Orbit(theta, pos, to_value, leaf, cells)
 
     def _backward(self, pos, level: int) -> tuple[list, int]:
         """min(L(2^m theta, theta_v), level + 1 - m) for m = 0..level+1, and the
@@ -367,21 +362,20 @@ class Lamination:
     def separation(self, level: int, u: Angle, w: Angle) -> int:
         """min(L(u, w), level + 1) for the separation level L(u, w), the least
         level at which u and w lie in different pieces (neither may be a
-        vertex at this level)."""
-        self.guard_level(level, u, w)
+        vertex at this level: _refuse_vertex)."""
+        self.guard_level(level)
+        self._refuse_vertex(u, level)
+        self._refuse_vertex(w, level)
         cap = level + 1
         # 2^s u = 2^s w iff 2^s (u - w) is an integer: the orbits meet at step
         # s if u - w has denominator 2^s, else never
         d = (u.frac - w.frac).denominator
         meet = two_adic(d) if d & (d - 1) == 0 else cap
-        hits = (self.vertex_entry_step(u), self.vertex_entry_step(w))
         # walk the pair's orbits to their first sector split; every leaf
         # split before it adds a candidate j + 1 + L(2^(j+1) u, theta_v)
         flips, stop = [], cap
         pair = zip(range(min(cap, meet)), self._points(u.num, u.den), self._points(w.num, w.den))
         for j, (_, at_u), (_, at_w) in pair:
-            if j in hits:
-                raise YoccozError(f"{double(u if j == hits[0] else w, j)} is a cycle angle")
             if at_u[0] != at_w[0]:
                 stop = j
                 break
@@ -389,7 +383,7 @@ class Lamination:
                 flips.append(j)
         if not flips:
             return stop
-        r = _off_cycle(self.orbit(u, level)).to_value
+        r = self.orbit(u, level).to_value
         return min(stop, min(j + 1 + r[j + 1] for j in flips))
 
     def vertex_entry_step(self, theta: Angle) -> int | None:
@@ -401,26 +395,28 @@ class Lamination:
         b, full = theta.den >> a, (1 << self.q) - 1
         return a if full % b == 0 and theta.num % b * (full // b) in self._cycle_nums else None
 
+    def _refuse_vertex(self, theta: Angle, level: int):
+        """A vertex of depth <= level (vertex_entry_step) lies in no gap: raise
+        OrbitHitsAlphaError.  The package's one vertex refusal, read by orbit
+        and separation."""
+        e = self.vertex_entry_step(theta)
+        if e is not None and e <= level:
+            raise OrbitHitsAlphaError(
+                f"the orbit of {theta} meets the alpha cycle within {level} steps")
+
     def is_vertex(self, theta: Angle, level: int) -> bool:
         """theta is a polygon vertex of depth <= level."""
         e = self.vertex_entry_step(theta)
         return e is not None and e <= level
 
-    def guard_level(self, level: int, *angles: Angle):
+    def guard_level(self, level: int):
         """Late landing: theta_v meets the cycle after entry_step doublings, so
-        gaps exist below that level only, and the gap of c_k = 2^k theta_v
-        only below entry_step - k."""
+        gaps exist below that level only.  (A point c_k = 2^k theta_v is a
+        vertex from depth entry_step - k on, which orbit refuses.)"""
         if level < 0:
             raise ValueError("level must be >= 0")
-        e = self.entry_step
-        if e is None:
-            return
-        if level >= e:
-            raise Case1DegenerateError(e)
-        for t in angles:
-            k = self._orbit_index.get((t.num, t.den))
-            if k is not None and k + level >= e:
-                raise Case1DegenerateError(e)
+        if self.entry_step is not None and level >= self.entry_step:
+            raise Case1DegenerateError(self.entry_step)
 
     def same_gap(self, level: int, u: Angle, w: Angle) -> bool:
         """True iff no polygon of depth <= level separates u from w on the circle,
@@ -462,14 +458,12 @@ class Lamination:
         """Circle trace (boundary arcs) of the level gap containing theta, as
         sorted numerator pairs over D_level: the sector of 2^level theta,
         pulled back along the orbit.  A pullback keeps both halves iff the
-        image gap holds theta_v, so the arc count is 2^#{m : r[m+1] >= level - m},
-        checked against MAX_TRACE_ARCS before any arc is built."""
-        self.guard_level(level, theta)
+        image gap holds theta_v, so the arc count is 2^_two_sided, checked
+        against MAX_TRACE_ARCS before any arc is built."""
+        self.guard_level(level)
         rec = self.orbit(theta, level)
-        if rec.hit is not None:
-            raise YoccozError(f"{theta} is a vertex at depth <= {level}")
         pos, r = rec.pos, rec.to_value
-        count = 1 << sum(r[m + 1] >= level - m for m in range(level))
+        count = 1 << _two_sided(r, level)
         if count > MAX_TRACE_ARCS:
             raise ValueError(f"the level-{level} trace of {theta} has {count} arcs, over the "
                              f"bound of MAX_TRACE_ARCS = {MAX_TRACE_ARCS} arcs")
@@ -484,13 +478,20 @@ class Lamination:
 
     def polygons_inside(self, level: int, theta: Angle) -> list[tuple[int, ...]]:
         """Depth-(level+1) polygons whose vertices lie inside the level gap of
-        theta, as sorted numerators over D_{level+1}."""
-        self.guard_level(level + 1, theta)
-        rec = _off_cycle(self.orbit(theta, level))
+        theta, as sorted numerators over D_{level+1}: the depth-1 polygons in
+        the sector of 2^level theta, pulled back along the orbit as trace's
+        arcs are, so there are (their number) << _two_sided of them, checked
+        against MAX_POLYGONS before any pull-back."""
+        self.guard_level(level + 1)
+        rec = self.orbit(theta, level)
         pos, r = rec.pos, rec.to_value
         lo, hi = (2 * c for c in self._sectors[pos[level][0]])  # its open sector, over D_1
         polys = [verts for verts in self._split(self.layers[0], 0)
                  if all(lo < n < hi if lo < hi else n > lo or n < hi for n in verts)]
+        count = len(polys) << _two_sided(r, level)
+        if count > MAX_POLYGONS:
+            raise ValueError(f"the level-{level} gap of {theta} holds {count} polygons, over the "
+                             f"bound of MAX_POLYGONS = {MAX_POLYGONS} polygons")
         for m in range(level - 1, -1, -1):
             children = self._split(polys, level - m)  # inside, outside, inside, ...
             polys = children if r[m + 1] >= level - m else children[pos[m][1]::2]
@@ -528,23 +529,22 @@ class Lamination:
     def slice_data(self) -> SliceData:
         """Locate the separating ray pair (B, C), the return time m, and the
         contraction level k of the slice dynamics inside the sector (A, D),
-        searching the levels up to the build depth: (B, C) is the hole between
-        two consecutive arcs of the gap next to A that holds theta_v.  That gap
-        holds A + 1 / (3 D_n), below any vertex spacing."""
+        at a level up to the build depth: (B, C) is the hole between two
+        consecutive arcs of the gap next to A that holds theta_v, at the first
+        level n whose gap next to A misses theta_v.  No vertex of depth <= depth
+        lies within 1/D_depth of A, so the point p = A + 1/(3 D_depth) lies in
+        that gap at every such level, and n is the separation level L(p, theta_v)."""
         A, D = self.sector
-        a, tv = A.num * (self.layer_den(0) // A.den), self.theta_v  # A over D_0
-        found = None
-        for n in range(1, self.depth + 1):
-            den = self.layer_den(n)
-            arcs = self.trace(n, normalize(3 * (a << n) + 1, 3 * den))
-            holes = [(b, c) for (_, b), (c, _) in zip(arcs, arcs[1:] + arcs[:1])]
-            hole = next((h for h in holes if _inside(h, den, tv.num, tv.den)), None)
-            if hole is not None:
-                found = (n, normalize(hole[0], den), normalize(hole[1], den))
-                break
-        if found is None:
+        top, tv = self.layer_den(self.depth), self.theta_v
+        p = normalize(3 * A.num * (top // A.den) + 1, 3 * top)
+        n = self.separation(self.depth, p, tv)
+        if n > self.depth:
             raise NeedsDeeperLaminationError(self.depth)
-        n, B, C = found
+        den = self.layer_den(n)
+        arcs = self.trace(n, p)
+        holes = [(b, c) for (_, b), (c, _) in zip(arcs, arcs[1:] + arcs[:1])]
+        b, c = next(h for h in holes if _inside(h, den, tv.num, tv.den))
+        B, C = normalize(b, den), normalize(c, den)
 
         m = None
         for cand in range(n, n + self.q):

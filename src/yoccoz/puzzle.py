@@ -30,7 +30,6 @@ from .errors import (
     NotFoundWithinBudgetError,
     NotRiseAndDropError,
     OnBoundaryError,
-    OrbitHitsAlphaError,
 )
 from .lamination import Arc, Lamination
 
@@ -158,21 +157,19 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int
     """tau along n = start..n_max in closed form from the leaf levels
     l_j = L(2^j theta, leaf) of theta's orbit record to n_max:
     tau(n) = n - min{j <= n : l_j + j > n}.  A vertex raises
-    OrbitHitsAlphaError (piece_of must be defined along the orbit), and
-    tau(start) = start iff theta lies in the level-start critical piece.
+    OrbitHitsAlphaError (Lamination.orbit: piece_of must be defined along the
+    orbit), and tau(start) = start iff theta lies in the level-start critical
+    piece.
 
     The least such j never decreases with n, so one pointer walks the orbit
     once.  tau(n) is defined by the level-n pieces, so level n_max must exist
-    in a late-landing lamination (guard_level), checked after the cycle
-    hit, in the order tau raises."""
+    in a late-landing lamination (guard_level), checked after the vertex
+    refusal, in the order tau raises."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
     if theta == CRITICAL:
         return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
     rec = lam.orbit(theta, n_max)
-    if rec.hit is not None:
-        raise OrbitHitsAlphaError(
-            f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
     if start <= n_max:
         lam.guard_level(n_max)
     reach = [j + lv for j, lv in enumerate(rec.leaf)]
@@ -307,15 +304,13 @@ def rad_analyze(seq: TauSequence) -> RadReport:
                         break
             witnesses[m] = hits
 
+    # one IVT witness per k: a step rises by at most 1, so the first l > k with
+    # a[l] > a[k] has a[l] = a[k] + 1 = a[l - 1] + 1, the rise past a[k] at l - 1
     ivt = []
     for k in range(len(a)):
-        for l in range(k, len(a)):
-            if a[k] < a[l]:
-                for m in range(a[k], a[l]):
-                    w = _find_rise(a, k, l, m)
-                    assert w is not None, "IVT violated on a rise-and-drop sequence"
-                    ivt.append((k, l, m, w))
-                break  # one (k, l) witness family per k keeps the report small
+        l = next((l for l in range(k + 1, len(a)) if a[l] > a[k]), None)
+        if l is not None:
+            ivt.append((k, l, a[k], l - 1))
     return RadReport(
         rises_past=rises,
         repeated_drop=repeated,
@@ -323,10 +318,3 @@ def rad_analyze(seq: TauSequence) -> RadReport:
         rise_witnesses=witnesses,
         ivt_witnesses=ivt,
     )
-
-
-def _find_rise(a, k: int, l: int, m: int) -> int | None:
-    for i in range(k, l):
-        if a[i] == m and a[i + 1] == m + 1:
-            return i
-    return None

@@ -258,8 +258,6 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
         if levels[0] < 0:  # each annulus level is a query level
             raise ValueError("level must be >= 0")
         M = levels[-1]
-        if all(a.n < M for a in e1.annuli):
-            z, w = w, z  # separation checks u's own orbit to the level: u holds A_M
         if (s := lam.separation(M, z, w)) > M:
             s = lam.separation(M + 1, z, w)
         seps[i, j] = seps[j, i] = s

@@ -1,23 +1,27 @@
 """Test oracle of the reach form: the critical-orbit queries by Angle.
 
 The j-th image of P_m(0) is asked as a gap query about the angle
-c_{j-1} = 2^{j-1} theta_v against the critical leaf, through the general
-separation walk of same_gap, and the descendant and renormalization
+c_{j-1} = 2^{j-1} theta_v against the critical leaf, through the reduced-pair
+walk of orbit_record_oracle.same_gap, and the descendant and renormalization
 searches walk those queries one (m, j) at a time; renormalization returns
 walk the orbit as Angles until one repeats.  The library answers all of
 them from the reach r_k = k + 1 + l_k of the critical orbit
 (Lamination.reach) by the image, descendant and renormalization rules; the
-tests check that both agree, errors included.
+tests check that both agree, errors included.  The walk keeps the old
+path's errors: its guard refused c_k where it is a vertex, and it named a
+cycle angle that c_k reached before the split.
 """
 
 from yoccoz.angles import double
 from yoccoz.errors import NotFoundWithinBudgetError
 from yoccoz.renorm import RenormReport
 
+from orbit_record_oracle import same_gap
+
 
 def image_is_critical(lam, m, j):
     """Is f^j(P_m(0)) the critical piece of level m - j?"""
-    return j == 0 or lam.same_gap(m - j, double(lam.theta_v, j - 1), lam.critical_leaf[0])
+    return j == 0 or same_gap(lam, m - j, double(lam.theta_v, j - 1), lam.critical_leaf[0])
 
 
 def descendant_check(lam, m, n):
@@ -61,7 +65,7 @@ def returns_forever(lam, n, k):
     seen = set()
     psi = double(lam.theta_v, n - 1)
     while psi not in seen:
-        if not lam.same_gap(k + n, psi, h):
+        if not same_gap(lam, k + n, psi, h):
             return False
         seen.add(psi)
         psi = double(psi, n)

@@ -15,7 +15,7 @@ from yoccoz.angles import ArcPosition, Angle, arc_length, double, in_arc, normal
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError
 from yoccoz.lamination import alpha_cycle
 
-from orbit_record_oracle import orbit_levels
+from orbit_record_oracle import guard_level, orbit_levels
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class AngleLamination:
 
     def polygons_inside(self, lam, level, theta):
         """Depth-(level+1) polygons whose vertices lie inside the level gap of theta."""
-        lam.guard_level(level + 1, theta)
+        guard_level(lam, level + 1, theta)
         pos, r = orbit_levels(lam, theta, level)
         arc = self._sector_arc(pos[level][0])
         depth1 = self.polygons[1] if self.depth >= 1 else self._split(self.polygons[0][0], 1)

@@ -9,6 +9,13 @@ vertex walk and one more walk and pass.  ``cycle_entry_step`` walked one
 library builds one orbit record per (angle, level) and answers all of them
 from it; the tests check that both agree, errors included.
 
+``guard_level`` is the library's guard as it was when it also refused the
+critical-orbit points c_k = 2^k theta_v at the levels where they are
+vertices, from a (num, den) -> k table, and ``separation`` is the pair walk
+as it was when it named the first cycle angle either orbit reached before
+the pair split.  The library now refuses every vertex of depth <= level up
+front (``Lamination._refuse_vertex``), so its guard reads the level only.
+
 The record's cycle hit, ``is_vertex`` and ``vertex_entry_step`` then walked
 the orbit over one denominator until it reached a cycle angle, testing every
 point against the cycle (``points``); the library reads them in closed form
@@ -21,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 
 from yoccoz.angles import Angle, double
-from yoccoz.errors import OrbitHitsAlphaError, YoccozError
+from yoccoz.errors import Case1DegenerateError, OrbitHitsAlphaError, YoccozError
 from yoccoz.lamination import alpha_cycle, build
 from yoccoz.puzzle import CRITICAL
 from yoccoz.tiling import CaseTag, ResidualStatus
@@ -47,6 +54,23 @@ def position(lam, num, den):
     h = lam.critical_leaf[0]
     inside = h.num * den < num * h.den and 2 * num * h.den < (2 * h.num + h.den) * den
     return (count - 1) % lam.q, 0 if inside else 1
+
+
+def guard_level(lam, level, *angles):
+    """Late landing: gaps exist below entry_step only, and the gap of
+    c_k = 2^k theta_v only below entry_step - k."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    e = lam.entry_step
+    if e is None:
+        return
+    if level >= e:
+        raise Case1DegenerateError(e)
+    index = {x: k for k, x in enumerate(lam._orbit_pairs)}
+    for t in angles:
+        k = index.get((t.num, t.den))
+        if k is not None and k + level >= e:
+            raise Case1DegenerateError(e)
 
 
 def cycle_entry_step(theta, cycle):
@@ -171,7 +195,7 @@ def orbit_leaf_levels(lam, theta, n):
 def separation(lam, level, u, w):
     """min(L(u, w), level + 1), testing at every step whether the two reduced
     pairs have met."""
-    lam.guard_level(level, u, w)
+    guard_level(lam, level, u, w)
     cap = level + 1
     flips, stop = [], cap
     x, y = (u.num, u.den), (w.num, w.den)

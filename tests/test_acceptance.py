@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from yoccoz.angles import arc_length, double, from_fraction, normalize
-from yoccoz.errors import Case1DegenerateError, InvalidThetaError
+from yoccoz.errors import Case1DegenerateError, InvalidThetaError, OrbitHitsAlphaError
 from yoccoz.lamination import alpha_cycle, build, check_unlinked
 from yoccoz import geometry as g
 from yoccoz import puzzle as pz
@@ -101,7 +101,7 @@ def test_acceptance_03_tau_oracle_and_taulike():
         theta = normalize(rng.randrange(1, den), den)
         try:
             seq = pz.tau_sequence(lam, theta, 40)
-        except pz.OrbitHitsAlphaError:
+        except OrbitHitsAlphaError:
             continue
         direct = [oracle.tau_direct(n, theta) for n in range(41)]
         assert seq == direct, theta

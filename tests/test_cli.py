@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from yoccoz import qcmodel as qc
 from yoccoz.cli import main
 from yoccoz.config import Config
 
@@ -404,6 +405,55 @@ def test_trace_past_the_arc_bound_exits_1(tmp_path):
     err = json.loads(proc.stdout)
     assert err["error"] == "ValueError"
     assert "8388608 arcs" in err["message"] and "MAX_TRACE_ARCS = 1048576" in err["message"]
+
+
+@pytest.mark.parametrize("level,count", [(140, 1 << 17), (174, 1 << 20)])
+def test_polygons_past_the_bound_exit_1(tmp_path, level, count):
+    """`tile --level 140` and `174` on 222/511: the critical piece holds 2^17
+    and 2^20 polygons, refused before any is pulled back (level 174 ended in a
+    MemoryError inside sub_pieces, level 160 took 93 s and 885 MB).  At 174
+    the refusal comes after tile has built the piece's 2^20-arc trace, so it
+    needs between 280 and 300 MB of address space: the 512 MB cap leaves about
+    200 MB of headroom."""
+    lam = str(tmp_path / "lam9.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "8", "--out", lam], tmp_path)[0] == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "tile", "--lam", lam,
+                           "--level", str(level)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "ValueError",
+        "message": f"the level-{level} gap of 111/511 holds {count} polygons, over the bound "
+                   f"of MAX_POLYGONS = 65536 polygons"}
+
+
+def diamond_oracle(n):
+    """`qc diamond`'s grid search: every point of every column, the first
+    maximum of the shear dilatation kept."""
+    worst, where = 0.0, None
+    for i in range(-n + 1, n):  # diamond tips excluded: zero-size fibers
+        x = i / n
+        m = int((1 - abs(x)) * n)
+        for j in range(-m, m + 1):
+            y = (1 - abs(x)) * (j / m) if m else 0.0
+            k = qc.shear_dilatation(abs(qc.DiamondToStrip.shear(x, y)))
+            if k > worst:
+                worst, where = k, (x, y)
+    return worst, where
+
+
+@pytest.mark.parametrize("grids", [range(1, 121), (256, 512)], ids=["1-120", "256,512"])
+def test_qc_diamond_matches_the_grid_search(tmp_path, grids):
+    """The report reads the first grid point of shear -1 (j = -m in the first
+    column with m >= 1); the search over the whole grid finds the same float
+    maximum at the same point."""
+    for n in grids:
+        code, out = run_cli(["qc", "diamond", "--grid", str(n)], tmp_path)
+        rep = json.loads(out)
+        worst, where = diamond_oracle(n)
+        assert code == 0 and (rep["max_dilatation"], tuple(rep["at"])) == (worst, where), n
 
 
 def test_qc_phi_deep_depth_from_one_block_per_level(tmp_path):

@@ -12,10 +12,11 @@ import pytest
 from yoccoz import puzzle as pz
 from yoccoz import renorm as rn
 from yoccoz.angles import normalize
-from yoccoz.errors import Case1DegenerateError, InvalidThetaError, YoccozError
+from yoccoz.errors import Case1DegenerateError, InvalidThetaError, OrbitHitsAlphaError, YoccozError
 from yoccoz.lamination import build
 
 import critical_orbit_oracle as oracle
+import orbit_record_oracle
 from fixtures import AIRPLANE_THETA, CASE3_THETA, MISIUREWICZ_THETA, SATELLITE_THETA
 from test_lamination_layers import late_landing, sector
 
@@ -94,6 +95,33 @@ def test_critical_image_matches_same_gap_on_fixtures(theta):
     for m in range(61):
         for j in range(m + 1):
             assert image_by_reach(lam, m, j) == oracle.image_is_critical(lam, m, j), (m, j)
+
+
+def test_old_orbit_guard_fired_exactly_at_vertices(lams):
+    """The old guard's clause for c_k = 2^k theta_v (k + level >= entry_step)
+    fires, below entry_step, exactly where c_k is a vertex of depth <= level
+    (c_k first meets the cycle at step entry_step - k), which is where
+    Lamination.orbit refuses it: every k < entry_step, every level < entry_step."""
+    late = lams.sweep + [lam for lam in lams.scan if lam.entry_step is not None]
+    fired = 0
+    for lam in late:
+        e = lam.entry_step
+        assert len(lam.critical_orbit) == e
+        for k, c in enumerate(lam.critical_orbit):
+            for level in range(e):
+                try:
+                    orbit_record_oracle.guard_level(lam, level, c)
+                    clause = False
+                except Case1DegenerateError:
+                    clause = True
+                try:
+                    lam.orbit(c, level)
+                    refused = False
+                except OrbitHitsAlphaError:
+                    refused = True
+                assert clause == lam.is_vertex(c, level) == refused, (lam.theta_v, k, level)
+                fired += clause
+    assert len(late) > 40 and fired > 0
 
 
 def test_critical_image_matches_same_gap_on_late_landing(lams):

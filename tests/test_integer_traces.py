@@ -2,17 +2,21 @@
 replaced (tests/trace_oracle.py): traces, pieces, annuli and slice holes,
 after conversion to reduced Angles, and a guard on the Angle count."""
 
+import random
+from math import gcd
+
 import pytest
 
+from yoccoz import lamination
 from yoccoz import puzzle as pz
 from yoccoz.angles import Angle, normalize
-from yoccoz.errors import YoccozError
+from yoccoz.errors import Case1DegenerateError, InvalidThetaError, YoccozError
 from yoccoz.lamination import Lamination, build
 
 import trace_oracle as oracle
 from fixtures import (AIRPLANE_THETA, CASE3_THETA, MISIUREWICZ_THETA, RABBIT_WAKE_THETA,
                       SATELLITE_THETA)
-from test_lamination_layers import late_landing
+from test_lamination_layers import late_landing, sector
 
 
 def as_angles(arcs, den):
@@ -53,17 +57,22 @@ def test_critical_trace_matches_angle_pull_back(theta, top):
 
 
 def test_traces_of_other_angles_match(lam3):
-    """Off the critical gap the pull-back keeps one side of the leaf; vertices
-    fail alike."""
+    """Off the critical gap the pull-back keeps one side of the leaf; a vertex
+    is refused by its orbit record (OrbitHitsAlphaError) where the oracle, as
+    the library did, raises YoccozError naming its depth."""
     seen = set()
     for den in (48, 511, 1021, 4093, 3 << 10, 98303):
         for num in range(1, den, den // 7):
             t = normalize(num, den)
             for level in (0, 3, 9, 17):
                 got = outcome(lambda: as_angles(lam3.trace(level, t), lam3.layer_den(level)))
-                assert got == outcome(oracle.trace, lam3, level, t), (t, level)
+                want = outcome(oracle.trace, lam3, level, t)
+                if want == ("YoccozError", f"{t} is a vertex at depth <= {level}"):
+                    want = ("OrbitHitsAlphaError",
+                            f"the orbit of {t} meets the alpha cycle within {level} steps")
+                assert got == want, (t, level)
                 seen.add(isinstance(got[0], str))
-    assert seen == {False, True}  # some probes are vertices: ("YoccozError", message)
+    assert seen == {False, True}  # some probes are vertices
 
 
 @pytest.mark.parametrize("pq,theta", [((1, 2), SATELLITE_THETA), ((1, 3), RABBIT_WAKE_THETA),
@@ -139,6 +148,33 @@ def test_slice_holes_match(pq, theta):
     assert outcome(hole, lam) == outcome(oracle.slice_hole, lam)
 
 
+def test_slice_level_is_one_separation_level():
+    """slice_data reads its level n as L(A + 1/(3 D_depth), theta_v): the same
+    (n, B, C), or NeedsDeeperLaminationError, as the level-by-level hole search
+    on seeded builds over q = 2..7 and depths 1..9."""
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(160):
+        q = rng.randrange(2, 8)
+        p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+        a, b = sector(p, q)
+        den = (1 << rng.randrange(6)) * rng.randrange(3, 2000, 2)
+        num = rng.randrange(a.num * den // a.den + 1, -(-b.num * den // b.den))
+        try:
+            lam = build(p, q, normalize(num, den), rng.randrange(1, 10))
+        except (Case1DegenerateError, InvalidThetaError):
+            continue
+
+        def hole():
+            s = lam.slice_data()
+            return s.n, s.B, s.C
+
+        got = outcome(hole)
+        assert got == outcome(oracle.slice_hole, lam), (p, q, lam.theta_v, lam.depth)
+        kinds.add(type(got[0]).__name__)
+    assert kinds == {"int", "str"}  # found, and NeedsDeeperLaminationError
+
+
 @pytest.mark.parametrize("pq,theta", [((1, 2), MISIUREWICZ_THETA), ((1, 2), SATELLITE_THETA),
                                       ((1, 2), AIRPLANE_THETA), ((1, 2), CASE3_THETA),
                                       ((1, 3), RABBIT_WAKE_THETA)])
@@ -195,3 +231,33 @@ def test_trace_counts_its_arcs_before_building_one(lam3, monkeypatch):
     with pytest.raises(ValueError, match=r"has 8388608 arcs, over the bound of "
                                          r"MAX_TRACE_ARCS = 1048576"):
         lam3.trace(200, theta)
+
+
+def test_polygons_inside_counts_its_polygons_before_any_pull_back(lam3, monkeypatch):
+    """The count (depth-1 polygons in the sector) << the both-halves steps,
+    which the bound reads, equals len(polygons_inside) on the critical piece
+    at levels 0..131 (2^16 polygons at 131, the bound itself); past
+    MAX_POLYGONS polygons_inside raises before it pulls back a polygon."""
+    theta = lam3.critical_leaf[0]
+
+    def counted(n):
+        with monkeypatch.context() as m:
+            m.setattr(lamination, "MAX_POLYGONS", -1)
+            with pytest.raises(ValueError, match=f"the level-{n} gap of {theta} holds") as exc:
+                lam3.polygons_inside(n, theta)
+        return int(str(exc.value).split(" holds ")[1].split()[0])
+
+    for n in range(132):
+        assert counted(n) == len(lam3.polygons_inside(n, theta)), n
+    assert counted(131) == lamination.MAX_POLYGONS
+    split = Lamination._split
+
+    def depth_one_only(self, polys, j):
+        assert j == 0, "pulled back a polygon"
+        return split(self, polys, j)
+
+    monkeypatch.setattr(Lamination, "_split", depth_one_only)
+    for n, count in ((140, 1 << 17), (174, 1 << 20)):
+        with pytest.raises(ValueError, match=f"the level-{n} gap of {theta} holds {count} "
+                                             f"polygons, over the bound of MAX_POLYGONS = 65536"):
+            lam3.polygons_inside(n, theta)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from yoccoz import cli
 from yoccoz import tiling as tl
 from yoccoz.angles import arc_point, normalize
-from yoccoz.errors import Case1DegenerateError, YoccozError
+from yoccoz.errors import Case1DegenerateError, OrbitHitsAlphaError, YoccozError
 from yoccoz.lamination import alpha_cycle, build
 from yoccoz.puzzle import CRITICAL, critical_piece, tau, tau_sequence
 
@@ -38,6 +38,31 @@ def outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
+def record_or_refusal(lam, theta, n):
+    """The orbit record, or the message of its vertex refusal."""
+    try:
+        return lam.orbit(theta, n)
+    except OrbitHitsAlphaError as exc:
+        return str(exc)
+
+
+def refusal(theta, n):
+    return f"the orbit of {theta} meets the alpha cycle within {n} steps"
+
+
+def refused_first(call, lam, level, u, w):
+    """call's outcome (the old path's pair walk) behind separation's vertex
+    refusal: past the level guard, a vertex of depth <= level, u first, raises
+    OrbitHitsAlphaError.  The old walk answered such a pair when it split
+    before the vertex met the cycle, named the cycle angle when the vertex met
+    it first, and refused a critical-orbit point c_k as Case1DegenerateError."""
+    if lam.entry_step is None or level < lam.entry_step:
+        for t in (u, w):
+            if oracle.is_vertex(lam, t, level):
+                return "OrbitHitsAlphaError", refusal(t, level)
+    return outcome(call, lam, level, u, w)
+
+
 def probes(lam, count, seed):
     """The leaf end, theta_v, and random angles with odd and even denominators."""
     rng = random.Random(seed)
@@ -51,11 +76,10 @@ def probes(lam, count, seed):
 
 
 def assert_record_matches(lam, theta, n):
-    rec = lam.orbit(theta, n)
+    rec = record_or_refusal(lam, theta, n)
     if oracle.is_vertex(lam, theta, n):
-        assert rec.hit is not None
+        assert rec == refusal(theta, n)
     else:
-        assert rec.hit is None
         pos, to_value = oracle.orbit_levels(lam, theta, n)
         assert (rec.pos, rec.to_value) == (pos, to_value), (theta, n)
         assert rec.leaf == oracle.orbit_leaf_levels(lam, theta, n), (theta, n)
@@ -134,7 +158,7 @@ def test_long_orbit_tau_pinned():
 def test_same_gap_and_entry_step_match():
     """The pair walk over one denominator per angle, and the first-repeat rule
     of the vertex walk, against the reduced-pair walks: values and the
-    cycle-angle and late-landing errors alike."""
+    vertex and late-landing errors alike (refused_first)."""
     seen = set()
     lams = [build(1, 2, t, 8) for t in (AIRPLANE_THETA, MISIUREWICZ_THETA, CASE3_THETA)]
     lams += [build(p, q, t, 8) for p, q in ((1, 2), (1, 3)) for t in late_landing(p, q, 9)[:1]]
@@ -147,9 +171,9 @@ def test_same_gap_and_entry_step_match():
             for w in points:
                 for level in (0, 3, 12):
                     got = outcome(lam.same_gap, level, u, w)
-                    assert got == outcome(oracle.same_gap, lam, level, u, w), (u, w, level)
+                    assert got == refused_first(oracle.same_gap, lam, level, u, w), (u, w, level)
                     seen.add(got if isinstance(got, bool) else got[0])
-    assert seen == {True, False, "YoccozError", "Case1DegenerateError"}
+    assert seen == {True, False, "OrbitHitsAlphaError", "Case1DegenerateError"}
 
 
 def test_classify_case_matches_entry_walk():
@@ -211,9 +235,9 @@ def test_record_answers_lower_levels():
     """The capped values at n answer every level m <= n."""
     lam = build(1, 2, CASE3_THETA, 8)
     for theta in probes(lam, 8, seed=13):
-        rec = lam.orbit(theta, 60)
-        if rec.hit is not None:
+        if oracle.is_vertex(lam, theta, 60):
             continue
+        rec = lam.orbit(theta, 60)
         for m in (0, 7, 30, 59):
             low = lam.orbit(theta, m)
             assert low.to_value == [min(v, m + 1 - k) for k, v in enumerate(rec.to_value[:m + 2])]
@@ -332,9 +356,9 @@ def entry_angles(draw, lams):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_vertex_entry_closed_form_matches_the_walks(entry_lams, data):
-    """vertex_entry_step, is_vertex and the record's hit against the walks
-    they replaced; around the entry step, the record's hit and tau_sequence's
-    outcome against the reduced-pair oracle too."""
+    """vertex_entry_step and is_vertex against the walks they replaced; around
+    the entry step, the record (refused exactly when vertex_entry_step <= n)
+    and tau_sequence's outcome against the reduced-pair oracle too."""
     kind, lam, a, theta = data.draw(entry_angles(entry_lams))
     e = lam.vertex_entry_step(theta)
     assert e == oracle.vertex_entry_walk(lam, theta), theta
@@ -343,10 +367,13 @@ def test_vertex_entry_closed_form_matches_the_walks(entry_lams, data):
     levels = {0, 3} | (set() if e is None else {e - 1, e, e + 1})
     for n in sorted(n for n in levels if n >= 0):
         assert lam.is_vertex(theta, n) == oracle.is_vertex_walk(lam, theta, n), (theta, n)
-        rec = lam.orbit(theta, n)
+        rec = record_or_refusal(lam, theta, n)
         hit, pos = oracle.orbit_hit_walk(lam, theta, n)
-        assert rec.hit == hit, (theta, n)
-        assert rec.pos == (pos if hit is None else []), (theta, n)
+        assert hit == (e if e is not None and e <= n else None), (theta, n)
+        if hit is None:
+            assert rec.pos == pos, (theta, n)
+        else:
+            assert rec == refusal(theta, n), (theta, n)
         assert outcome(tau_sequence, lam, theta, n) == \
             outcome(oracle.tau_sequence, lam, theta, n), (theta, n)
 
@@ -400,9 +427,10 @@ def test_separation_reads_the_meeting_step_from_the_denominator(entry_lams):
     above the walk's cap level + 1, and pairs of two unrelated angles; u and
     w are cycle preimages (vertices from some depth on) or random angles, so
     either or both can reach a cycle angle before or at the step where the
-    pair splits or meets."""
+    pair splits or meets.  separation refuses such a vertex up front
+    (refused_first), whichever outcome the old walk gave it."""
     rng = random.Random(26)
-    seen = set()
+    seen, changed = set(), set()
     for lam in entry_lams:
 
         def draw():
@@ -423,10 +451,14 @@ def test_separation_reads_the_meeting_step_from_the_denominator(entry_lams):
                 w, meet = draw(), None
             for x, y in ((u, w), (w, u)):
                 got = outcome(lam.separation, level, x, y)
-                assert got == outcome(oracle.separation, lam, level, x, y), (x, y, level)
+                assert got == refused_first(oracle.separation, lam, level, x, y), (x, y, level)
                 assert outcome(lam.same_gap, level, x, y) == \
-                    outcome(oracle.same_gap, lam, level, x, y), (x, y, level)
+                    refused_first(oracle.same_gap, lam, level, x, y), (x, y, level)
+                old = outcome(oracle.separation, lam, level, x, y)
+                if got != old:  # a vertex the old walk answered, named or refused as c_k
+                    changed.add("value" if isinstance(old, int) else old[0])
                 kind = "value" if isinstance(got, int) else got[0]
                 seen.add((kind, None if meet is None else (meet > level + 1) - (meet < level + 1)))
-    assert seen == {(kind, m) for kind in ("value", "YoccozError", "Case1DegenerateError")
-                    for m in (None, -1, 0, 1)}, seen
+    kinds = ("value", "OrbitHitsAlphaError", "Case1DegenerateError")
+    assert seen == {(kind, m) for kind in kinds for m in (None, -1, 0, 1)}, seen
+    assert changed == {"value", "YoccozError", "Case1DegenerateError"}, changed

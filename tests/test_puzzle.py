@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yoccoz.angles import double, normalize
-from yoccoz.errors import NotFoundWithinBudgetError, NotRiseAndDropError, OnBoundaryError
+from yoccoz.errors import (NotFoundWithinBudgetError, NotRiseAndDropError, OnBoundaryError,
+                           OrbitHitsAlphaError)
 from yoccoz.lamination import build
 from yoccoz import puzzle as pz
 
@@ -112,7 +113,7 @@ def test_tau_incremental_matches_direct(lam):
         theta = normalize(random.randrange(1, den), den)
         try:
             seq = pz.tau_sequence(lam, theta, 25)
-        except pz.OrbitHitsAlphaError:
+        except OrbitHitsAlphaError:
             continue
         assert seq == [oracle.tau_direct(n, theta) for n in range(26)]
         assert seq == [pz.tau(lam, n, theta) for n in range(26)]
@@ -176,7 +177,7 @@ def test_lemma_get_isomorphism(lam3):
         theta = normalize(random.randrange(1, den), den)
         try:
             seq = pz.tau_sequence(lam3, theta, 24)
-        except pz.OrbitHitsAlphaError:
+        except OrbitHitsAlphaError:
             continue
         for n in range(len(seq) - 1):
             m = seq[n]
@@ -201,7 +202,7 @@ def test_lemma_drop_nature(lam3):
         theta = normalize(random.randrange(1, den), den)
         try:
             seq = pz.tau_sequence(lam3, theta, 24)
-        except pz.OrbitHitsAlphaError:
+        except OrbitHitsAlphaError:
             continue
         for n in range(len(seq) - 1):
             b, a = seq[n], seq[n + 1]
@@ -241,13 +242,42 @@ def rise_and_drop_seqs(draw):
     return tuple(vals)
 
 
+def ivt_oracle(a):
+    """rad_analyze's IVT witnesses by search: for each k, the first l with
+    a[l] > a[k], and for every m in a[k]..a[l] - 1 the first rise past m in
+    k..l, which must exist."""
+    ivt = []
+    for k in range(len(a)):
+        for l in range(k, len(a)):
+            if a[k] < a[l]:
+                for m in range(a[k], a[l]):
+                    w = next((i for i in range(k, l) if a[i] == m and a[i + 1] == m + 1), None)
+                    assert w is not None, "IVT violated on a rise-and-drop sequence"
+                    ivt.append((k, l, m, w))
+                break
+    return ivt
+
+
 @settings(max_examples=200, deadline=None)
 @given(rise_and_drop_seqs())
 def test_rad_ivt_never_fails(vals):
     seq = pz.TauSequence(0, vals)
-    rep = pz.rad_analyze(seq)  # the internal IVT assertion must hold
+    rep = pz.rad_analyze(seq)
     for m, i in rep.rises_past:
         assert vals[i] == m and vals[i + 1] == m + 1
+    assert rep.ivt_witnesses == ivt_oracle(vals)
+    for k, l, m, w in rep.ivt_witnesses:
+        assert k <= w < l and vals[w] == m == vals[k] and vals[w + 1] == m + 1 == vals[l]
+
+
+def test_rad_ivt_witnesses_match_the_search():
+    """The one witness per k, (k, l, a[k], l - 1), on 3000 seeded sequences."""
+    rng = random.Random(27)
+    for _ in range(3000):
+        vals = [rng.randrange(-1, 7)]
+        for _ in range(rng.randrange(1, 60)):
+            vals.append(rng.randrange(-1, vals[-1] + 2))
+        assert pz.rad_analyze(pz.TauSequence(0, tuple(vals))).ivt_witnesses == ivt_oracle(vals)
 
 
 def test_lemma_getdesc(lam3):
@@ -287,7 +317,7 @@ def test_lemma_findann_over_found_drops(lam3):
         )
         try:
             seq = pz.tau_sequence(lam3, t, 45)
-        except pz.OrbitHitsAlphaError:
+        except OrbitHitsAlphaError:
             continue
         for n in range(len(seq) - 1):
             bb, aa = seq[n], seq[n + 1]

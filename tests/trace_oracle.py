@@ -13,7 +13,9 @@ did not change.
 their parent's trace replaced: the midpoint of every run between cuts is
 resolved from level 0, and repeats are dropped by trace.  ``critical_traces``
 is the level sweep of the critical gap that ``first_nondegenerate`` read
-before it read the critical pieces.
+before it read the critical pieces.  The guard and the vertex refusals are
+the library's as they were before ``Lamination.orbit`` refused vertices
+(``orbit_record_oracle.guard_level`` and ``is_vertex``).
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +25,8 @@ from yoccoz.angles import (Angle, ArcPosition, arc_length, arc_point, double, fr
                            normalize)
 from yoccoz.errors import NeedsDeeperLaminationError, OnBoundaryError, YoccozError
 from yoccoz.puzzle import CRITICAL, query_angle
+
+from orbit_record_oracle import guard_level, is_vertex
 
 HALF = Fraction(1, 2)
 
@@ -63,11 +67,11 @@ def _pull_back(lam, arcs, side):
     return tuple(sorted(halves))
 
 
-def trace(lam, level, theta, orbit=None):
-    lam.guard_level(level, theta)
-    rec = lam.orbit(theta, level) if orbit is None else orbit
-    if rec.hit is not None:
+def trace(lam, level, theta):
+    guard_level(lam, level, theta)
+    if is_vertex(lam, theta, level):
         raise YoccozError(f"{theta} is a vertex at depth <= {level}")
+    rec = lam.orbit(theta, level)
     pos, r = rec.pos, rec.to_value
     arcs = (_sector_arc(lam, pos[level][0]),)
     for m in range(level - 1, -1, -1):
@@ -109,10 +113,9 @@ class PieceRef:
 
 def piece_of(lam, level, theta):
     t = query_angle(lam, theta)
-    rec = lam.orbit(t, level)
-    if rec.hit is not None:
+    if is_vertex(lam, t, level):
         raise OnBoundaryError(f"{t} is a polygon vertex at depth <= {level}")
-    return PieceRef(level=level, boundary=trace(lam, level, t, rec), probe=t)
+    return PieceRef(level=level, boundary=trace(lam, level, t), probe=t)
 
 
 def polygons_inside(lam, level, theta):
