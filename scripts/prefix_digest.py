@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""One SHA-256 over a benchmark workload's seed-0 traced prefix: every step's
-exit code, stdout and ``--out`` file, to check that a change keeps the command
-line's output byte-identical.  Run from the repository root:
+"""One SHA-256 over a benchmark workload's set-up fixture laminations and its
+seed-0 traced prefix: every step's exit code, stdout and ``--out`` file, to
+check that a change keeps the command line's output byte-identical.  Run from
+the repository root:
 
     python3 scripts/prefix_digest.py scan
 
@@ -40,7 +41,12 @@ def digest(workload: str) -> str:
         h.update(len(data).to_bytes(8, "big") + data)
 
     try:
-        _, stream = run.setup(workload, run.DEFAULT_SEED, workdir)
+        work, stream = run.setup(workload, run.DEFAULT_SEED, workdir)
+        # the fixture files (case3.json, half.json, rabbit.json) that set-up
+        # writes through `lamination --out`, read before any job runs
+        for name in sorted(run.workloads.FIXTURES[workload]):
+            with open(work[name], "rb") as fh:
+                put(fh.read())
         for i in range(run.TRACE_JOBS[workload]):
             job = stream[i]
             # a job writes at most one --out file, and a later job may

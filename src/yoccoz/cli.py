@@ -85,6 +85,8 @@ def _load_lam(path: str):
 
 
 def _lam_payload(lam) -> dict:
+    den = lam.layer_den(lam.depth)
+    top = [[f"{n // (g := gcd(n, den))}/{den // g}" for n in verts] for verts in lam.layers[-1]]
     return {
         "p": lam.p,
         "q": lam.q,
@@ -92,8 +94,8 @@ def _lam_payload(lam) -> dict:
         "depth": lam.depth,
         "sector": [str(lam.sector[0]), str(lam.sector[1])],
         "critical_leaf": [str(lam.critical_leaf[0]), str(lam.critical_leaf[1])],
-        "polygons": [[[f"{n // (g := gcd(n, den))}/{den // g}" for n in verts] for verts in layer]
-                     for j, layer in enumerate(lam.layers) for den in (lam.layer_den(j),)],
+        # layer j is the first 2^j polygons of the top layer (Lamination.layers)
+        "polygons": [top[:1 << j] for j in range(lam.depth + 1)],
     }
 
 
@@ -103,16 +105,14 @@ def _lam_payload(lam) -> dict:
 _POLYGONS_KEY = '\n  "polygons": '
 
 
-def _polygons_json(layers) -> str:
-    """The polygon layers as `json.dumps(indent=2)` writes them at key depth 1.
-    A vertex string holds only digits and "/", so none needs escaping."""
-    def polygon(verts):
-        return '[\n        "' + '",\n        "'.join(verts) + '"\n      ]' if verts else "[]"
-
-    def layer(polys):
-        return "[\n      " + ",\n      ".join(map(polygon, polys)) + "\n    ]" if polys else "[]"
-
-    return "[\n    " + ",\n    ".join(map(layer, layers)) + "\n  ]" if layers else "[]"
+def _polygons_json(top, depth: int) -> str:
+    """The polygon layers, layer j the first 2^j polygons of `top`, as
+    `json.dumps(indent=2)` writes them at key depth 1. A vertex string holds
+    only digits and "/", so none needs escaping; each polygon is joined once."""
+    blocks = ['[\n        "' + '",\n        "'.join(verts) + '"\n      ]' for verts in top]
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(blocks[:1 << j]) + "\n    ]" for j in range(depth + 1)
+    ) + "\n  ]"
 
 
 # ---------------------------------------------------------------- commands
@@ -127,7 +127,8 @@ def cmd_lamination(args, cfg):
     text = json.dumps(_report(cfg, polygons="", **payload), indent=2, sort_keys=True) + "\n"
     placeholder = _POLYGONS_KEY + '""'
     assert text.count(placeholder) == 1
-    _write(text.replace(placeholder, _POLYGONS_KEY + _polygons_json(polygons)), args.out)
+    _write(text.replace(placeholder, _POLYGONS_KEY + _polygons_json(polygons[-1], lam.depth)),
+           args.out)
 
 
 def cmd_tau(args, cfg):

@@ -179,7 +179,16 @@ class Lamination:
                 f"({self.sector[0]}, {self.sector[1]})"
             )
 
-        # layers[j]: the depth-j polygons as sorted numerators over layer_den(j)
+        # layers[j]: the depth-j polygons as sorted numerators over layer_den(j).
+        # Layer j is the first 2^j polygons of layer j+1, numerators doubled.
+        # Angle 0 is fixed by doubling, and each sector shorter than 1/2 maps
+        # onto a different one (the rotation number p/q has q >= 2), so 0 lies
+        # in the critical sector, which holds both leaf ends h and h + 1/2. No
+        # periodic orbit stays in (0, 1/2) or in (1/2, 1), so h < min(cycle) <=
+        # max(cycle) < h + 1/2: the alpha polygon is the first (inside) child
+        # of its own _split. _split's children of a polygon depend only on its
+        # angle set, so if layer j is a prefix of layer j+1, their children,
+        # layer j+1, are a prefix of layer j+2 (tests/test_lamination_layers).
         self.layers: list[list[tuple[int, ...]]] = [[tuple(self._cycle_nums)]]
         for j in range(depth):
             self.layers.append(self._split(self.layers[j], j))
@@ -280,9 +289,11 @@ class Lamination:
     @cached_property
     def polygons(self) -> list[list[tuple[Angle, ...]]]:
         """The layers as vertex tuples of reduced angles (cyclically ordered,
-        smallest first), built on first read."""
-        return [[tuple(normalize(n, den) for n in verts) for verts in layer]
-                for j, layer in enumerate(self.layers) for den in (self.layer_den(j),)]
+        smallest first), built on first read: layer j is the first 2^j
+        polygons of the top layer."""
+        den = self.layer_den(self.depth)
+        top = [tuple(normalize(n, den) for n in verts) for verts in self.layers[-1]]
+        return [top[:1 << j] for j in range(self.depth + 1)]
 
     def _critical_values(self) -> list:
         """L(c_a, theta_v) for every orbit point c_a, in O(P) memory.  The pair

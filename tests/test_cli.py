@@ -55,19 +55,27 @@ def test_lamination_case1_exits_1(tmp_path):
     assert err["error"] == "Case1DegenerateError" and err["step"] == 1
 
 
-@pytest.mark.parametrize("edit", ["polygon", "sector"])
+@pytest.mark.parametrize("edit", ["polygon", "swap", "truncate", "sector"])
 def test_edited_lamination_file_exits_1(tmp_path, lam_json, edit):
     """A stored lamination is checked key for key against the rebuild, the
-    sector and critical leaf included."""
+    sector and critical leaf included. The rebuild's layer j is the head of
+    its top layer, yet every stored layer is read: the polygon edits leave
+    the top layer intact."""
     import contextlib
     import io
 
     data = json.loads(Path(lam_json).read_text())
-    if edit == "polygon":
-        poly = data["polygons"][3][2]
+    layers, top = data["polygons"], json.dumps(data["polygons"][-1])
+    if edit == "polygon":  # one vertex string of layer 3
+        poly = layers[3][2]
         poly[0] = "1/5" if poly[0] != "1/5" else "1/7"
+    elif edit == "swap":  # two polygons of layer 2
+        layers[2][1], layers[2][2] = layers[2][2], layers[2][1]
+    elif edit == "truncate":  # layer 1 cut to its first polygon
+        del layers[1][1:]
     else:
         data["sector"] = data["sector"][::-1]
+    assert json.dumps(layers[-1]) == top
     with open(lam_json, "w") as fh:
         json.dump(data, fh)
     err = io.StringIO()

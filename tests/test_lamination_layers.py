@@ -12,8 +12,8 @@ from yoccoz.cli import _lam_payload
 from yoccoz.errors import Case1DegenerateError, InvalidThetaError, YoccozError
 from yoccoz.lamination import alpha_cycle, build
 
-from fixtures import CASE1_THETA, CASE1_THETA_SLOW, CASE3_THETA, MISIUREWICZ_THETA, \
-    RABBIT_WAKE_THETA
+from fixtures import AIRPLANE_THETA, CASE1_THETA, CASE1_THETA_SLOW, CASE3_THETA, \
+    MISIUREWICZ_THETA, RABBIT_WAKE_THETA, SATELLITE_THETA
 from lamination_oracle import AngleLamination
 
 
@@ -58,6 +58,41 @@ def test_integer_layers_match_angle_oracle():
         assert lam.polygons == want, (p, q, theta)
         assert _lam_payload(lam)["polygons"] == layer_strings(oracle.polygons), (p, q, theta)
         assert lam.sector == oracle.sector and lam.critical_leaf == oracle.critical_leaf
+
+
+def nesting_cases():
+    """limbs(), the five fixtures, q >= 20, and late-landing laminations built
+    short of their entry step."""
+    yield from ((p, q, theta, 8) for p, q, theta in limbs())
+    for theta in (SATELLITE_THETA, MISIUREWICZ_THETA, AIRPLANE_THETA, CASE3_THETA):
+        yield 1, 2, theta, 8
+    yield 1, 3, RABBIT_WAKE_THETA, 8
+    rng = random.Random(11)
+    for q in (20, 33, 64):
+        p = rng.choice([p for p in range(1, q) if gcd(p, q) == 1])
+        yield p, q, seeded_theta(rng, p, q, 6), 6
+    for p, q in ((1, 2), (1, 5), (2, 7)):
+        for steps in (3, 6):
+            for theta in late_landing(p, q, steps):
+                yield p, q, theta, steps - 1
+
+
+def test_layer_j_is_the_head_of_layer_j_plus_1():
+    """Layer j is the first 2^j polygons of layer j+1, numerators doubled
+    (the proof is at Lamination.layers), and the report and `polygons` give
+    every layer as a slice of the top layer's own polygon objects."""
+    qs, late = set(), 0
+    for p, q, theta, depth in nesting_cases():
+        lam = build(p, q, theta, depth)
+        for j in range(depth):
+            assert [tuple(2 * n for n in P) for P in lam.layers[j]] == lam.layers[j + 1][:1 << j], \
+                (p, q, theta, j)
+        for layers in (_lam_payload(lam)["polygons"], lam.polygons):
+            assert [len(layer) for layer in layers] == [1 << j for j in range(depth + 1)]
+            assert all(P is layers[-1][i] for layer in layers for i, P in enumerate(layer))
+        qs.add(q)
+        late += lam.entry_step is not None and lam.entry_step > depth
+    assert max(qs) >= 64 and late >= 6
 
 
 def late_landing(p, q, steps):

@@ -36,14 +36,19 @@ def critical_value_sector(p, q):
 
 
 vertex = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 10**12), st.integers(1, 10**12))
-layers = st.lists(st.lists(st.lists(vertex, max_size=5), max_size=4), max_size=4)
+polygon = st.lists(vertex, min_size=1, max_size=5)
+top_layers = st.integers(0, 5).flatmap(
+    lambda depth: st.tuples(st.lists(polygon, min_size=1 << depth, max_size=1 << depth),
+                            st.just(depth)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(layers)
-def test_polygons_block_matches_json_dumps(value):
-    """Empty layers, empty polygons and no layers at all included."""
-    assert cli._polygons_json(value) == json.dumps(value, indent=2).replace("\n", "\n  ")
+@given(top_layers)
+def test_polygons_block_matches_json_dumps(case):
+    """Layer j is the first 2^j polygons of a random top layer, depth 0 included."""
+    top, depth = case
+    layers = [top[:1 << j] for j in range(depth + 1)]
+    assert cli._polygons_json(top, depth) == json.dumps(layers, indent=2).replace("\n", "\n  ")
 
 
 # the five fixture laminations, and the q = 14 depth-8 one (7154 vertices)
