@@ -352,12 +352,12 @@ def cmd_qc(args, cfg):
         worst = qc.shear_dilatation(abs(qc.DiamondToStrip.shear(x, y)))
         _emit(_report(cfg, grid=n, max_dilatation=worst, at=(x, y), bound=3.0), args.out)
     else:  # strip
-        model = qc.strip_model(args.depth)
+        model = qc.strip_model(args.depth)  # raises where the band fails
         import math
 
         _emit(_report(cfg, depth=args.depth, slits=len(model.slits),
                       band=[min(s.im_lo for s in model.slits), max(s.im_hi for s in model.slits)],
-                      band_target=[math.pi / 5, 4 * math.pi / 5], band_ok=model.band_ok,
+                      band_target=[math.pi / 5, 4 * math.pi / 5], band_ok=True,
                       closure_ratio=model.closure_ratio), args.out)
 
 

@@ -54,6 +54,11 @@ from .errors import (
 MAX_MATERIALIZED_DEPTH = 18
 MAX_TRACE_ARCS = 1 << 20  # arcs of one gap trace; 2^20 arcs take about 4.5 s and 270 MB
 MAX_POLYGONS = 1 << 16  # polygons inside one gap; 2^16 take about 18 s and 320 MB in `tile`
+# The layers hold q (2^(depth+1) - 1) vertices, each a (q + depth)-bit
+# numerator, counted with 64 bits more for the objects and report strings that
+# carry it.  `lamination` at q = 20, depth 16 (0.98 * 2^28 bits) peaks at about
+# 440 MB; at q = 16000, depth 0 (0.96 * 2^28) at about 860 MB.
+MAX_LAMINATION_BITS = 1 << 28
 NEVER = math.inf  # separation level of two angles that no level separates
 
 
@@ -152,6 +157,12 @@ class Lamination:
             raise ValueError("depth must be >= 0")
         if depth > MAX_MATERIALIZED_DEPTH:
             raise ValueError(f"refusing to materialize beyond depth {MAX_MATERIALIZED_DEPTH}")
+        vertices = q * ((2 << depth) - 1)
+        size = vertices * (q + depth + 64)
+        if size > MAX_LAMINATION_BITS:
+            raise ValueError(f"the depth-{depth} lamination of q = {q} has {vertices} vertices, "
+                             f"{size} bits counted, over the bound of MAX_LAMINATION_BITS = "
+                             f"{MAX_LAMINATION_BITS} bits")
         self.p, self.q = p, q
         self.theta_v = theta_v
         self.depth = depth

@@ -163,15 +163,15 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int
 
     The least such j never decreases with n, so one pointer walks the orbit
     once.  tau(n) is defined by the level-n pieces, so level n_max must exist
-    in a late-landing lamination (guard_level), checked after the vertex
-    refusal, in the order tau raises."""
+    in a late-landing lamination (guard_level, for CRITICAL too), checked
+    after the vertex refusal, in the order tau raises."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    if theta == CRITICAL:
-        return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
-    rec = lam.orbit(theta, n_max)
+    rec = None if theta == CRITICAL else lam.orbit(theta, n_max)
     if start <= n_max:
         lam.guard_level(n_max)
+    if rec is None:
+        return list(range(start, n_max + 1))  # P_n(0) is critical: j = 0
     reach = [j + lv for j, lv in enumerate(rec.leaf)]
     values: list[int] = []
     j = 0

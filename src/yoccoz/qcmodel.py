@@ -96,30 +96,28 @@ def build_notched(depth: int) -> NotchedSquare:
     return NotchedSquare(depth=depth, squares=layers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slit:
-    alpha: Fraction  # dyadic abscissa in (-1, 1)
-    level: int  # minimal k with alpha = p / 2^k
-    half_height: Fraction  # (3/5) 2^-level
+    """The slit x = p / 2^level, |y| <= (3/5) 2^-level, level minimal."""
 
-    def angle_bounds_ok(self) -> bool:
-        """|y/(1 +- x)| <= 3/5 at the slit endpoints, exactly."""
-        y = self.half_height
-        return y <= THREE_FIFTHS * (1 + self.alpha) and y <= THREE_FIFTHS * (1 - self.alpha)
+    p: int  # odd, or 0 at level 0
+    level: int
 
+    @property
+    def alpha(self) -> Fraction:  # dyadic abscissa in (-1, 1)
+        return Fraction(self.p, 1 << self.level)
 
-@dataclass
-class SlittedSquare:
-    depth: int
-    slits: list[Slit]
+    @property
+    def half_height(self) -> Fraction:
+        return THREE_FIFTHS / (1 << self.level)
 
 
-# Depth 18: `qc strip` takes about 4 s and 0.4 GB there, twice that at depth 19
+# Depth 18: `qc strip` takes about 2.6 s and 174 MB there, about twice that at depth 19
 MAX_SLITS = (1 << 19) - 1
 
 
-def build_slitted(depth: int) -> SlittedSquare:
-    """All slits of dyadic level <= depth: x = p/2^k, |y| <= (3/5) 2^-k."""
+def build_slitted(depth: int) -> list[Slit]:
+    """All slits of dyadic level <= depth, level by level, left to right."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     max_depth = MAX_SLITS.bit_length() - 1
@@ -127,11 +125,8 @@ def build_slitted(depth: int) -> SlittedSquare:
         count = (1 << (depth + 1)) - 1 if depth < 64 else f"2^{depth + 1} - 1"
         raise ValueError(f"depth {depth} has {count} slits, over the bound of "
                          f"{MAX_SLITS} slits (depth {max_depth})")
-    slits = [Slit(Fraction(0), 0, THREE_FIFTHS)]
-    for k in range(1, depth + 1):
-        for p in range(-(1 << k) + 1, 1 << k, 2):
-            slits.append(Slit(Fraction(p, 1 << k), k, THREE_FIFTHS / (1 << k)))
-    return SlittedSquare(depth=depth, slits=slits)
+    return [Slit(0, 0)] + [Slit(p, k) for k in range(1, depth + 1)
+                           for p in range(-(1 << k) + 1, 1 << k, 2)]
 
 
 # ------------------------------------------------------------- block map
@@ -500,6 +495,11 @@ def square_to_diamond() -> PLAtlas:
     return PLAtlas(cells, domain_tag="square-to-diamond")
 
 
+def _rho_u(x: float) -> float:
+    """The abscissa of rho-+ at x: log(1 + x) for x <= 0, -log(1 - x) after."""
+    return math.log1p(x) if x <= 0 else -math.log1p(-x)
+
+
 class DiamondToStrip:
     """rho-: (x,y) -> (log(1+x), y/(1+x)) on the left half of the diamond and
     rho+: (x,y) -> (-log(1-x), y/(1-x)) on the right, glued along the y-axis.
@@ -511,9 +511,7 @@ class DiamondToStrip:
         x, y = float(x), float(y)
         if abs(y) > 1 - abs(x) + 1e-12:
             raise OutsideDomainError(f"({x},{y}) outside the diamond")
-        if x <= 0:
-            return (math.log1p(x), y / (1 + x))
-        return (-math.log1p(-x), y / (1 - x))
+        return (_rho_u(x), self.shear(x, y))
 
     @staticmethod
     def shear(x, y) -> float:
@@ -525,20 +523,24 @@ def shear_dilatation(s: float) -> float:
     return singular_value_ratio(2 + s * s, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class StripSlit:
     u: float  # horizontal position in the strip 0 < Im < pi
     im_lo: float
     im_hi: float
     level: int
-    ratio: Fraction  # exact |y/(1 -+ x)| at the endpoints (before pi-scaling)
+    n: int  # 2^level - |p| for the slit at p / 2^level
+
+    @property
+    def ratio(self) -> Fraction:
+        """Exact |y/(1 -+ x)| at the endpoints (before pi-scaling)."""
+        return Fraction(3, 5 * self.n)
 
 
 @dataclass
 class StripModel:
     depth: int
     slits: list[StripSlit]
-    band_ok: bool  # always True: strip_model raises where the band fails
     closure_ratio: float  # max slit height / distance to older slit (midline echo)
 
 
@@ -552,28 +554,28 @@ def strip_model(depth: int) -> StripModel:
     bound is exactly Fact angle's 3/5, checked on an integer: for
     alpha = p/2^k the ratio h/(1 -+ alpha) is 3/(5 (2^k - |p|)).
     Each slit's closure gap, to the nearest older (lower-level) slit, is read
-    at its dyadic neighbours alpha +- 2^-level that are slits (+-1 is the
-    edge): none lies between, and u increases with alpha.
+    at its dyadic neighbours alpha +- 2^-level, which are slits inside (-1, 1)
+    (+-1 is the edge): none lies between, and u increases with alpha.  A
+    dyadic of level <= 18 is an exact float, so the neighbours' u are the
+    floats their own slits get.
     """
     out = []
-    u_at = {}  # float(alpha) -> u; a dyadic of level <= 18 is an exact float
     worst = 0.0
-    for s in build_slitted(depth).slits:
-        n = (1 << s.level) - abs(s.alpha.numerator)
+    for s in build_slitted(depth):
+        k = s.level
+        n = (1 << k) - abs(s.p)
         if n < 1:
             raise ModelViolationError("slit image escapes the pi/5..4pi/5 band")
-        a = float(s.alpha)
-        u = math.log1p(a) if a <= 0 else -math.log1p(-a)
+        a = s.p / (1 << k)
+        u = _rho_u(a)
         half = math.pi / 2 * (3 / (5 * n))
         im_hi = math.pi / 2 + half
-        if s.level:
-            step = 2.0 ** -s.level
-            g = min(abs(u - u_at[b]) for b in (a - step, a + step) if b in u_at)
+        if k:
+            step = 2.0 ** -k
+            g = min(abs(u - _rho_u(b)) for b in (a - step, a + step) if -1 < b < 1)
             worst = max(worst, (im_hi - math.pi / 2) / g)
-        u_at[a] = u
-        out.append(StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=im_hi, level=s.level,
-                             ratio=Fraction(3, 5 * n)))
-    return StripModel(depth=depth, slits=out, band_ok=True, closure_ratio=worst)
+        out.append(StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=im_hi, level=k, n=n))
+    return StripModel(depth=depth, slits=out, closure_ratio=worst)
 
 
 # ---------------------------------------------------------- slice embedding

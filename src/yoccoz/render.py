@@ -120,7 +120,7 @@ def render_model_squares(depth: int = 3) -> str:
     x = 3.5  # S' = (-1, 1)^2 drawn centred at x = 3.5, right of S
     canvas.polyline([complex(x - 1, -1), complex(x + 1, -1), complex(x + 1, 1), complex(x - 1, 1)],
                     layer="slitted", stroke="#222", width=1.2, closed=True)
-    for sl in build_slitted(depth).slits:
+    for sl in build_slitted(depth):
         z, h = float(sl.alpha) + x, float(sl.half_height)
         canvas.polyline([complex(z, -h), complex(z, h)], layer="slitted", stroke="#c33", width=1.0)
     return canvas.to_svg()

@@ -195,7 +195,6 @@ class AnnulusCertificate:
     fraternal: tuple[int, int]
     depth: int
     entries: list[CertificateEntry]
-    disjointness_checked: bool = False
 
 
 def surrounding_annuli(lam: Lamination, theta, N: int, depth: int, start: int | None = None) -> list[AnnulusRecord]:
@@ -276,7 +275,6 @@ def verify_certificate(lam: Lamination, cert: AnnulusCertificate) -> Certificate
         violations += [f"closure of A_{a.n}({e1.theta}) contains certified angle {e2.theta}"
                        for a in e1.annuli if seps.get((i, j)) == a.n + 1]
 
-    cert.disjointness_checked = True
     warning = "" if any(e.annuli for e in cert.entries) else "empty certificate: vacuous pass"
     return CertificateReport(ok=not violations, violations=violations, class_counts=counts,
                              warning=warning)

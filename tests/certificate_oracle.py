@@ -69,7 +69,6 @@ def verify_certificate(lam, cert):
                         f"closure of A_{a.n}({e1.theta}) contains certified angle {e2.theta}"
                     )
 
-    cert.disjointness_checked = True
     warning = "" if any(e.annuli for e in cert.entries) else "empty certificate: vacuous pass"
     return CertificateReport(ok=not violations, violations=violations, class_counts=counts,
                              warning=warning)

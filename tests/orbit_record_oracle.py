@@ -220,12 +220,12 @@ def same_gap(lam, level, u, w):
 
 
 def tau_sequence(lam, theta, n_max, start=0):
-    if theta == CRITICAL:
-        return list(range(start, n_max + 1))
-    if is_vertex(lam, theta, n_max):
+    if theta != CRITICAL and is_vertex(lam, theta, n_max):
         raise OrbitHitsAlphaError(f"the orbit of {theta} meets the alpha cycle within {n_max} steps")
     if start <= n_max:
         lam.guard_level(n_max)
+    if theta == CRITICAL:
+        return list(range(start, n_max + 1))
     reach = [j + lv for j, lv in enumerate(orbit_leaf_levels(lam, theta, n_max))]
     values = []
     j = 0

@@ -11,19 +11,20 @@ from yoccoz.qcmodel import THREE_FIFTHS, StripModel, StripSlit, build_slitted
 
 
 def strip_model(depth: int) -> StripModel:
-    slitted = build_slitted(depth)
     out = []
     band_ok = True
-    for s in slitted.slits:
+    for s in build_slitted(depth):
         denom = (1 + s.alpha) if s.alpha <= 0 else (1 - s.alpha)
         ratio = s.half_height / denom
         if ratio > THREE_FIFTHS:
             band_ok = False
         u = math.log1p(float(s.alpha)) if s.alpha <= 0 else -math.log1p(-float(s.alpha))
         half = math.pi / 2 * float(ratio)
+        # StripSlit carries the ratio as n = 3 / (5 ratio), an int in the model:
+        # the models compare equal only if this Fraction is that integer
         out.append(
             StripSlit(u=u, im_lo=math.pi / 2 - half, im_hi=math.pi / 2 + half,
-                      level=s.level, ratio=ratio)
+                      level=s.level, n=THREE_FIFTHS / ratio)
         )
     if not band_ok:
         raise ModelViolationError("slit image escapes the pi/5..4pi/5 band")
@@ -36,4 +37,4 @@ def strip_model(depth: int) -> StripModel:
         g = min(gaps)
         if g > 0:
             worst = max(worst, (s.im_hi - math.pi / 2) / g)
-    return StripModel(depth=depth, slits=out, band_ok=band_ok, closure_ratio=worst)
+    return StripModel(depth=depth, slits=out, closure_ratio=worst)

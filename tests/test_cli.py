@@ -121,11 +121,14 @@ def test_late_landing_exits_with_case1(tmp_path):
     code, _ = run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "919/1536",
                        "--depth", "8", "--out", lam], tmp_path)
     assert code == 0
-    for args in (["descendants", "--lam", lam], ["renorm", "--lam", lam]):
+    for args in (["descendants", "--lam", lam], ["renorm", "--lam", lam],
+                 ["tau", "--lam", lam, "--theta", "CRITICAL", "--n", "9"]):
         code, out = run_cli(args, tmp_path)
         assert code == 1
         assert json.loads(out) == {"error": "Case1DegenerateError", "step": 9,
                                    "message": "theta_v hits the alpha-cycle after 9 doublings"}
+    code, out = run_cli(["tau", "--lam", lam, "--theta", "CRITICAL", "--n", "8"], tmp_path)
+    assert code == 0 and json.loads(out)["tau"] == list(range(9))
 
 
 @pytest.mark.parametrize("args", [["descendants", "--level", "5000", "--budget", "2"],
@@ -435,6 +438,32 @@ def test_polygons_past_the_bound_exit_1(tmp_path, level, count):
         "error": "ValueError",
         "message": f"the level-{level} gap of 111/511 holds {count} polygons, over the bound "
                    f"of MAX_POLYGONS = 65536 polygons"}
+
+
+@pytest.mark.parametrize("q,theta_v,depth,vertices,bits", [
+    (20, "1/1044480", 18, 10485740, 1069545480),
+    (1000000, "1/3", 0, 1000000, 1000064000000)])
+def test_lamination_past_the_size_bound_exits_1(q, theta_v, depth, vertices, bits):
+    """`lamination` at q = 20, depth 18 ended in a MemoryError inside
+    _polygons_json under a 1 GB cap; at q = 10^6 the alpha cycle alone would
+    hold 10^6 numerators of 10^6 bits.  Both are refused before either is built."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "lamination", "--p", "1",
+                           "--q", str(q), "--theta-v", theta_v, "--depth", str(depth)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "ValueError",
+        "message": f"the depth-{depth} lamination of q = {q} has {vertices} vertices, {bits} "
+                   f"bits counted, over the bound of MAX_LAMINATION_BITS = 268435456 bits"}
+
+
+def test_large_q_below_the_size_bound_builds_its_cycle(tmp_path):
+    """q = 16000 at depth 0 is inside the bound: the build reaches the sector
+    test, which refuses theta_v = 1/3."""
+    code, out = run_cli(["lamination", "--p", "1", "--q", "16000", "--theta-v", "1/3",
+                         "--depth", "0"], tmp_path)
+    assert code == 1 and json.loads(out)["error"] == "InvalidThetaError"
 
 
 def diamond_oracle(n):

@@ -390,3 +390,26 @@ def test_bounded_geometry_two_ratio_triples():
     assert len(set(r5)) == 2
     assert set(r1) == set(r5)
     assert all(x > 0 and y > 0 and z > 0 for (x, y, z) in r5)
+
+
+def test_lamination_size_is_checked_before_the_cycle_is_built(monkeypatch):
+    """q (2^(depth+1) - 1) vertices of q + depth + 64 counted bits each, refused
+    past MAX_LAMINATION_BITS before alpha_cycle or any layer runs."""
+    from yoccoz import lamination
+
+    def no_cycle(*args):
+        raise AssertionError("the alpha cycle was built past the bound")
+
+    monkeypatch.setattr(lamination, "alpha_cycle", no_cycle)
+    with pytest.raises(ValueError, match=r"the depth-17 lamination of q = 20 has 5242860 "
+                                         r"vertices, 529528860 bits counted, over the bound "
+                                         r"of MAX_LAMINATION_BITS = 268435456 bits"):
+        build(1, 20, normalize(1, 1044480), 17)
+    with pytest.raises(ValueError, match=r"q = 100000 has 100000 vertices"):
+        build(1, 100000, normalize(1, 3), 0)
+    monkeypatch.undo()
+    # at the bound itself the build goes ahead
+    monkeypatch.setattr(lamination, "MAX_LAMINATION_BITS", 2 * 7 * (2 + 2 + 64))
+    assert len(build(1, 2, MISIUREWICZ_THETA, 2).layers) == 3
+    with pytest.raises(ValueError, match="over the bound"):
+        build(1, 2, MISIUREWICZ_THETA, 3)

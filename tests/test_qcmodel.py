@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from yoccoz.angles import normalize
-from yoccoz.errors import OutsideDomainError
+from yoccoz.errors import ModelViolationError, OutsideDomainError
 from yoccoz.lamination import build
 from yoccoz import plgeom
 from yoccoz.plgeom import AffineMap
@@ -34,17 +34,30 @@ def test_notched_real_slice_is_middle_thirds():
 
 def test_slitted_depth1():
     ss = qc.build_slitted(1)
-    slits = {(s.alpha, s.level): s.half_height for s in ss.slits}
+    slits = {(s.alpha, s.level): s.half_height for s in ss}
     assert slits[(Fraction(0), 0)] == Fraction(3, 5)
     assert slits[(Fraction(1, 2), 1)] == Fraction(3, 10)
     assert slits[(Fraction(-1, 2), 1)] == Fraction(3, 10)
-    assert len(ss.slits) == 3
+    assert len(ss) == 3
 
 
 def test_slit_count_and_angle_fact():
+    """|y/(1 +- x)| <= 3/5 at the slit endpoints, exactly."""
     ss = qc.build_slitted(7)
-    assert len(ss.slits) == (1 << 8) - 1  # 1 + 2 + 4 + ... + 128
-    assert all(s.angle_bounds_ok() for s in ss.slits)
+    assert len(ss) == (1 << 8) - 1  # 1 + 2 + 4 + ... + 128
+    three_fifths = Fraction(3, 5)
+    assert all(s.half_height <= three_fifths * (1 + s.alpha)
+               and s.half_height <= three_fifths * (1 - s.alpha) for s in ss)
+
+
+def test_slit_levels_are_minimal():
+    """Each slit's p / 2^level is reduced, so level is the least k with
+    alpha = p / 2^k; the slits run level by level, left to right."""
+    ss = qc.build_slitted(9)
+    assert all(s.p % 2 == 1 or (s.p, s.level) == (0, 0) for s in ss)
+    assert all(s.alpha.denominator == 1 << s.level for s in ss)
+    assert [(s.level, s.alpha) for s in ss] == sorted((s.level, s.alpha) for s in ss)
+    assert len({s.alpha for s in ss}) == len(ss)
 
 
 def test_slit_bound_is_checked_before_any_slit_is_built(monkeypatch):
@@ -59,7 +72,7 @@ def test_slit_bound_is_checked_before_any_slit_is_built(monkeypatch):
         qc.build_slitted(10**9)
     monkeypatch.undo()
     monkeypatch.setattr(qc, "MAX_SLITS", 7)
-    assert len(qc.build_slitted(2).slits) == 7
+    assert len(qc.build_slitted(2)) == 7
     with pytest.raises(ValueError, match="15 slits, over the bound of 7 slits"):
         qc.build_slitted(3)
 
@@ -336,7 +349,7 @@ def test_folded_ba_average_is_bitwise_unchanged(monkeypatch):
 
 def test_square_to_diamond_fixes_hull():
     sd = qc.square_to_diamond()
-    for s in qc.build_slitted(4).slits:
+    for s in qc.build_slitted(4):
         for frac in (Fraction(0), Fraction(1, 2), Fraction(1)):
             p = (s.alpha, s.half_height * frac)
             assert sd.evaluate(p) == p
@@ -373,10 +386,17 @@ def test_strip_model_band_and_verticality():
         hi = max(s.im_hi for s in model.slits)
         assert lo >= math.pi / 5 - 1e-9
         assert hi <= 4 * math.pi / 5 + 1e-9
-        assert model.band_ok
     # slit images are vertical by construction: each is stored as one u value;
     # check the exact ratio bound that keeps them in the band
     assert all(s.ratio <= Fraction(3, 5) for s in qc.strip_model(5).slits)
+
+
+def test_strip_model_raises_where_the_band_fails(monkeypatch):
+    """A slit at the edge x = 1 (2^k - |p| = 0) has no band ratio: strip_model
+    raises, so a model it returns always keeps the band (`qc strip`'s band_ok)."""
+    monkeypatch.setattr(qc, "build_slitted", lambda depth: [qc.Slit(0, 0), qc.Slit(1, 0)])
+    with pytest.raises(ModelViolationError, match="escapes the pi/5..4pi/5 band"):
+        qc.strip_model(0)
 
 
 def test_strip_model_symmetry_and_closure():
