@@ -70,9 +70,6 @@ def from_fraction(f: Fraction) -> Angle:
     return normalize(f.numerator, f.denominator)
 
 
-ZERO = Angle(0, 1)
-
-
 def double(theta: Angle, n: int = 1) -> Angle:
     """2^n * theta mod 1, exactly."""
     if n < 0:

@@ -86,7 +86,8 @@ def _load_lam(path: str):
 
 def _lam_payload(lam) -> dict:
     den = lam.layer_den(lam.depth)
-    top = [[f"{n // (g := gcd(n, den))}/{den // g}" for n in verts] for verts in lam.layers[-1]]
+    reduced = cache(lambda g: str(den // g))  # q-bit decimals, one per distinct gcd g
+    top = [[f"{n // (g := gcd(n, den))}/{reduced(g)}" for n in verts] for verts in lam.layers[-1]]
     return {
         "p": lam.p,
         "q": lam.q,

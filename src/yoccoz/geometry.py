@@ -84,11 +84,21 @@ def fixed_points(c: complex):
 
 
 def check_connected(c: complex):
-    z = 0j
-    for _ in range(ESCAPE_ITERS):
-        z = z * z + c
-        if abs(z) > ESCAPE_RADIUS:
-            raise NotConnectedError(f"critical orbit escapes for c = {c}")
+    """Refuse c if its critical orbit leaves ESCAPE_RADIUS within ESCAPE_ITERS
+    steps.  A float orbit that repeats is periodic from then on, its cycle
+    already checked, so the check stops at the first repeat of the point saved
+    after each power-of-two span (Brent); signed zeros change no modulus."""
+    z = saved = 0j
+    done, span = 0, 1
+    while done < ESCAPE_ITERS:
+        for _ in range(min(span, ESCAPE_ITERS - done)):
+            z = z * z + c
+            if abs(z) > ESCAPE_RADIUS:
+                raise NotConnectedError(f"critical orbit escapes for c = {c}")
+            if z == saved:
+                return
+        done += span
+        saved, span = z, 2 * span
 
 
 def _target_level(t: float, cfg: Config) -> tuple[int, float]:
@@ -105,12 +115,17 @@ def _target_angle(theta: Angle, n: int) -> float:
     return TWO_PI * (theta.num * pow(2, n, theta.den) % theta.den / theta.den)
 
 
-def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config):
-    """Solve f^n(z) = exp(2^n (t + 2 pi i theta)) by Newton from z0, with n
-    and the angle from _target_level and _target_angle."""
+def _target(theta: Angle, t: float, cfg: Config) -> tuple[int, complex]:
+    """n and the target w = exp(2^n (t + 2 pi i theta)) at potential t, from
+    _target_level and _target_angle."""
     n, r = _target_level(t, cfg)
     a = _target_angle(theta, n)
-    w = r * complex(math.cos(a), math.sin(a))
+    return n, r * complex(math.cos(a), math.sin(a))
+
+
+def _newton_target(c: complex, theta: Angle, t: float, z0: complex, cfg: Config):
+    """Solve f^n(z) = w by Newton from z0, for the _target n and w at t."""
+    n, w = _target(theta, t, cfg)
     aw = abs(w)
     tol = NEWTON_TOL * (aw if aw > 1.0 else 1.0)
     w_floor = 8 * (2.0**n) * aw
@@ -210,7 +225,7 @@ def _schedule(pot_hi: float, pot_lo: float, cfg: Config) -> tuple[list[float], i
 
 def _continue_ray(c, theta, pot_hi, pot_lo, cfg) -> RayPolyline:
     ts, kept = _schedule(pot_hi, pot_lo, cfg)
-    z, res = _must(_newton_target(c, theta, ts[0], cmath_exp_ray(theta, ts[0]), cfg), ts[0])
+    z, res = _must(_newton_target(c, theta, ts[0], _target(theta, ts[0], cfg)[1], cfg), ts[0])
     points, residuals = [(z, ts[0])], [res]
     for t_prev, t in zip(ts, ts[1:]):
         znew, res = _newton_target(c, theta, t, z, cfg)
@@ -244,7 +259,8 @@ def _continue_fan(c, thetas, pot_hi, pot_lo, cfg) -> list[RayPolyline] | None:
         cos_a, sin_a = angles[n]
         return n, r * cos_a - 0.0 * sin_a, r * sin_a + 0.0 * cos_a
 
-    # the seeds cmath_exp_ray(theta, ts[0]) are the first targets (n = 0), float for float
+    # seeded far out, where Boettcher ~ identity: the first targets (n = 0), as
+    # in _continue_ray
     _, wr, wi = targets(ts[0])
     z = np.empty(len(thetas), dtype=complex)
     z.real, z.imag = wr, wi
@@ -355,13 +371,6 @@ def _subdivide(c, theta, t_from, t_to, z, cfg, budget):
     return zt, res
 
 
-def cmath_exp_ray(theta: Angle, t: float) -> complex:
-    """Boettcher-plane seed phi ~ identity far out."""
-    r = math.exp(t)
-    a = TWO_PI * (theta.num / theta.den)
-    return r * complex(math.cos(a), math.sin(a))
-
-
 def ray_points(c: complex, thetas: Sequence[Angle], ts: Sequence[float],
                cfg: Config = Config()) -> list[complex]:
     """The points of the rays R(theta) at exact potentials t, one per ray,
@@ -383,17 +392,17 @@ def ray_point(c: complex, theta: Angle, t: float, cfg: Config = Config()) -> com
 # ------------------------------------------------------------ piece curves
 
 
-def piece_curves(c, pieces, potential: float, samples_per_arc: int = 8,
-                 cfg: Config = Config(), rays: Sequence[Angle] = ()
-                 ) -> tuple[list[list[complex]], list[RayPolyline]]:
+def piece_curves(c, pieces, potential: float, samples_per_arc: int = 8, cfg: Config = Config(),
+                 rays: Sequence[Angle] = (), points: Sequence[Angle] = ()
+                 ) -> tuple[list[list[complex]], list[RayPolyline], list[complex]]:
     """Closed ccw polylines around puzzle pieces: equipotential arcs over the
     trace arcs joined by the bounding ray pairs (rays truncated at RAY_FLOOR and
     closed across the landing point).
 
     Neighbouring pieces share arc samples and bounding rays, so the distinct
-    arc samples of all pieces are traced as one fan and the distinct bounding
-    rays, together with the extra angles ``rays``, as another.  Returns the
-    curves and the polylines of ``rays``."""
+    arc samples of all pieces and the extra angles ``points`` are traced as one
+    fan, the distinct bounding rays and the extra angles ``rays`` as another.
+    Returns the curves, the polylines of ``rays`` and the points of ``points``."""
     arcs_of = [piece.boundary for piece in pieces]
     # samples_per_arc + 1 equally spaced angles from a to b (ccw) on each arc
     samples_of = [[[arc_point(a, b, Fraction(i, samples_per_arc))
@@ -401,7 +410,8 @@ def piece_curves(c, pieces, potential: float, samples_per_arc: int = 8,
     # arc i ends on b_i and the next arc starts on a_{i+1}
     ends_of = [[(b, arcs[(i + 1) % len(arcs)][0]) for i, (_, b) in enumerate(arcs)]
                for arcs in arcs_of]
-    samples = list(dict.fromkeys(t for arcs in samples_of for arc in arcs for t in arc))
+    samples = list(dict.fromkeys([t for arcs in samples_of for arc in arcs for t in arc]
+                                 + list(points)))
     bounding = list(dict.fromkeys([t for ends in ends_of for pair in ends for t in pair]
                                   + list(rays)))
     sample_at = dict(zip(samples, ray_points(c, samples, [potential] * len(samples), cfg)))
@@ -416,7 +426,7 @@ def piece_curves(c, pieces, potential: float, samples_per_arc: int = 8,
             pts.extend(z for z, _ in reversed(ray_at[start].points))
         pts.append(pts[0])
         curves.append(pts)
-    return curves, [ray_at[theta] for theta in rays]
+    return curves, [ray_at[theta] for theta in rays], [sample_at[t] for t in points]
 
 
 def piece_curve(c, piece, potential: float, samples_per_arc: int = 8,

@@ -71,30 +71,27 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     """Layered figure of the level-n puzzle: equipotential, alpha rays, piece
     fills, and optionally one critical annulus highlighted."""
     from .angles import normalize
-    from .geometry import RAY_FLOOR, check_window, piece_curves, trace_rays
+    from .geometry import RAY_FLOOR, check_window, piece_curves
     from .puzzle import critical_piece, enumerate_pieces
 
     top = math.log(cfg.start_radius)  # where every ray window starts
     # level n at top / 2^n; level 0 at the level-1 potential, below top
     pot = top * 2.0 ** -max(level, 1)
-    canvas = SvgCanvas()
     # the piece count grows exponentially with the level: refuse an empty
-    # ray window before tracing the ring or enumerating the pieces
+    # ray window before enumerating the pieces
     check_window(pot, RAY_FLOOR)
-
-    n_samp = 256
-    fan = trace_rays(c, [normalize(k, n_samp) for k in range(n_samp)],
-                     pot_hi=pot * 1.0000001, pot_lo=pot, cfg=cfg)
-    ring = [ray.points[-1][0] for ray in fan]
-    canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
 
     pieces = enumerate_pieces(lam, level)
     annuli = [] if highlight_annulus is None else [
         (critical_piece(lam, lev), color)
         for lev, color in ((highlight_annulus, "#3333cc"), (highlight_annulus + 1, "#cc33cc"))]
-    # pieces, annulus outlines and alpha-cycle rays share one fan of bounding rays
-    curves, cycle_rays = piece_curves(c, pieces + [piece for piece, _ in annuli], pot,
-                                      cfg=cfg, rays=lam.cycle)
+    # the equipotential ring joins the pieces' arc samples in one fan; pieces,
+    # annulus outlines and alpha-cycle rays share one fan of bounding rays
+    curves, cycle_rays, ring = piece_curves(
+        c, pieces + [piece for piece, _ in annuli], pot, cfg=cfg, rays=lam.cycle,
+        points=[normalize(k, 256) for k in range(256)])
+    canvas = SvgCanvas()
+    canvas.polyline(ring + ring[:1], layer="equipotentials", stroke="#999", width=0.8)
     for ray in cycle_rays:
         canvas.polyline([z for z, _ in ray.points], layer="rays", stroke="#c33", width=1.0)
 

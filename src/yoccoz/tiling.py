@@ -17,7 +17,6 @@ from .errors import (
     Case1DegenerateError,
     NotFoundWithinBudgetError,
     OnBoundaryError,
-    OrbitHitsAlphaError,
 )
 from .lamination import Lamination, build
 from .puzzle import (
@@ -159,16 +158,16 @@ class ResidualStatus(enum.Enum):
 
 
 def residual_member(lam: Lamination, theta, p: int, L: int, depth: int) -> ResidualStatus:
-    """R-membership to evidence depth: notR as soon as tau drops to L.  One
-    tau sequence from p to depth answers the vertex test, membership in the
-    level-p critical piece (tau(p) = p) and the drop."""
+    """R-membership to evidence depth: notR as soon as tau drops to L.  A
+    vertex of depth <= depth is the closed-form refusal that tau_sequence
+    would raise; otherwise one tau sequence from p to depth answers
+    membership in the level-p critical piece (tau(p) = p) and the drop."""
     if depth < p:
         raise ValueError(f"depth {depth} tests no tau value of the level-{p} piece: "
                          f"it must be >= p = {p}")
-    try:
-        taus = tau_sequence(lam, theta, depth, start=p)
-    except OrbitHitsAlphaError:
+    if theta != CRITICAL and lam.is_vertex(theta, depth):
         return ResidualStatus.ORBIT_HITS_ALPHA
+    taus = tau_sequence(lam, theta, depth, start=p)
     if taus[0] != p:
         raise ValueError(f"{theta} is not in the level-{p} critical piece")
     if any(t <= L for t in taus):

@@ -2,7 +2,8 @@
 the pieces of a figure shared their ray fans.  Each piece traces its own arc
 samples and its own bounding rays, so rays shared by neighbouring pieces (and
 the alpha-cycle rays, traced again for the rays layer) are traced once per
-use.  Rays are reached through ``geometry``'s module attributes, so a test
+use, and the equipotential ring is its own fan in its own window,
+pot * 1.0000001 -> pot.  Rays are reached through ``geometry``'s module attributes, so a test
 can substitute the tracer here as in the library."""
 
 from __future__ import annotations

@@ -573,12 +573,15 @@ def test_descendants_negative_level_exits_1(tmp_path, lam_json, level, budget):
 
 
 def test_render_negative_level_exits_1(tmp_path, lam_json):
+    """The level is refused before any ray is traced, so before a
+    disconnected c (1, 0) is found."""
     out_path = tmp_path / "fig.svg"
-    code, out = run_cli(["render", "--lam", lam_json, "--c=-1,0", "--level", "-1",
-                         "--out", str(out_path)], tmp_path)
-    assert code == 1
-    assert json.loads(out) == {"error": "ValueError", "message": "level must be >= 0"}
-    assert not out_path.exists()
+    for c in ("-1,0", "1,0"):
+        code, out = run_cli(["render", "--lam", lam_json, f"--c={c}", "--level", "-1",
+                             "--out", str(out_path)], tmp_path)
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError", "message": "level must be >= 0"}
+        assert not out_path.exists()
 
 
 def test_render_writes_svg(tmp_path, lam_json):

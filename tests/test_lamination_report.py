@@ -8,6 +8,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,17 @@ def test_lamination_report_text_matches_json_dumps(tmp_path, p, q, theta_v, dept
     path = tmp_path / "lam.json"
     assert run_cli(argv + ["--out", str(path)]) == (0, f"{path}\n")
     assert path.read_text() == want
+
+
+@pytest.mark.parametrize("p,q,theta_v,depth", REPORTS + [
+    (1, 2200, str(arc_point(*critical_value_sector(1, 2200), Fraction(1, 2))), 2)])
+def test_vertex_strings_equal_the_per_vertex_expression(p, q, theta_v, depth):
+    """Each reduced denominator is formatted once per report, into the same
+    strings as reducing and formatting every vertex on its own."""
+    lam = build(p, q, normalize(*map(int, theta_v.split("/"))), depth)
+    den = lam.layer_den(depth)
+    want = [[f"{n // (g := gcd(n, den))}/{den // g}" for n in verts] for verts in lam.layers[-1]]
+    assert cli._lam_payload(lam)["polygons"][-1] == want
 
 
 def test_compactly_redumped_lamination_file_loads(tmp_path):

@@ -14,6 +14,7 @@ from yoccoz.angles import normalize
 from yoccoz.config import Config
 from yoccoz.errors import NotConnectedError, TraceFailedError, YoccozError
 from yoccoz.lamination import build
+from yoccoz.puzzle import enumerate_pieces
 from yoccoz.render import render_puzzle
 
 import ray_oracle
@@ -140,6 +141,41 @@ def test_disconnected_fan_fails_before_any_newton_step(monkeypatch):
             g.trace_rays(1 + 0j, seeded_angles(1, count))
 
 
+class CountingC(complex):
+    """A parameter c that counts the orbit steps z * z + c taken with it."""
+
+    steps = 0
+
+    def __radd__(self, other):
+        CountingC.steps += 1
+        return other + complex(self)
+
+
+@pytest.mark.parametrize("c", CS + (0.25 + 0j, 1 + 0j, -0.75 + 0.01j, 0.2501 + 0j,
+                                    complex(-1, -0.0)))
+def test_connectedness_verdict_equals_the_full_orbit_oracle(c):
+    """The check stops at the orbit's first float repeat (the four periodic
+    CS within 40 steps); c = 1/4 is never periodic in floats and escaping c
+    run to their escape, so their verdicts and messages are the 2000-step
+    loop's."""
+    def verdict(check):
+        try:
+            check(CountingC(c))
+        except NotConnectedError as exc:
+            return str(exc)
+        return None
+
+    CountingC.steps = 0
+    got, steps = verdict(g.check_connected), CountingC.steps
+    assert got == verdict(ray_oracle.check_connected)
+    if c in CS:  # -1 - 0j too
+        assert got is None and steps <= 40
+    elif c == 0.25:
+        assert got is None and steps == g.ESCAPE_ITERS
+    else:
+        assert got == f"critical orbit escapes for c = {c}"
+
+
 def test_bad_window_names_both_potentials():
     with pytest.raises(YoccozError, match=r"pot_hi = 0\.5 and pot_lo = 0\.7"):
         g.trace_rays(-1, [normalize(1, 3)], pot_hi=0.5, pot_lo=0.7)
@@ -164,14 +200,16 @@ def test_render_is_byte_identical_to_the_oracle(monkeypatch, theta_v, q, c):
             m.setattr(g, "trace_rays", lambda *a, **k: fans.append(1) or oracle_fan(*a, **k))
             old = render_puzzle(c, lam, 1, highlight_annulus=annulus)
         assert new == old
-        assert len(fans) == 3  # the ring, the arc samples, the bounding rays: all via the oracle
+        assert len(fans) == 2  # the ring with the arc samples, the bounding rays: via the oracle
 
 
 @FIXTURES
 @pytest.mark.parametrize("c", [-1 + 0j, 0.282 + 0.53j])
 def test_render_is_byte_identical_to_the_per_piece_oracle(theta_v, q, c):
+    """The oracle also keeps the ring's own window (pot * 1.0000001 -> pot):
+    the ring traced with the arc samples moves by round-off only."""
     lam = build(1, q, theta_v, 6)
-    for level in (0, 1, 2):
+    for level in (0, 1, 2, 3):
         for annulus in (None, 0):
             assert (render_puzzle(c, lam, level, highlight_annulus=annulus)
                     == render_oracle.render_puzzle(c, lam, level, highlight_annulus=annulus))
@@ -203,15 +241,32 @@ def _render_work(monkeypatch, render, lam, level):
 
 @FIXTURES
 def test_render_traces_each_window_once(monkeypatch, theta_v, q):
-    """The equipotential ring, the arc samples and the bounding rays (alpha
-    cycle and annulus outlines included) are three fans, whatever the level."""
+    """The equipotential ring with the arc samples, and the bounding rays
+    (alpha cycle and annulus outlines included), are two fans, whatever the
+    level."""
     lam = build(1, q, theta_v, 6)
+    ring = {normalize(k, 256) for k in range(256)}
     for level in (0, 1, 2):
         windows, checks = _render_work(monkeypatch, render_puzzle, lam, level)
-        assert len(windows) == len(set(windows)) and checks == 3
-        assert sum(hi == lo * 1.0000001 for _, hi, lo in windows) == 256  # the ring
+        assert len(windows) == len(set(windows)) and checks == 2
+        pot = POT * 2.0 ** (1 - max(level, 1))
+        assert ring <= {theta for theta, hi, lo in windows if (hi, lo) == (2 * POT, pot)}
     windows, checks = _render_work(monkeypatch, render_oracle.render_puzzle, lam, 1)
-    assert len(windows) > len(set(windows)) and checks > 3  # what the counts guard against
+    assert len(windows) > len(set(windows)) and checks > 2  # what the counts guard against
+
+
+@pytest.mark.parametrize("c", [-1 + 0j, 0.282 + 0.53j])
+def test_piece_curves_points_are_ray_points(c):
+    """Extra equipotential angles join the arc-sample fan: their points are
+    those of a fan of their own in the same window, float for float."""
+    lam = build(1, 2, SATELLITE_THETA, 6)
+    ps = [normalize(k, 256) for k in range(256)] + seeded_angles(5, 20)
+    for level in (1, 3):
+        pot = POT * 2.0 ** (1 - level)
+        pieces = enumerate_pieces(lam, level)
+        curves, _, points = g.piece_curves(c, pieces, pot, points=ps)
+        assert points == g.ray_points(c, ps, [pot] * len(ps))
+        assert curves == g.piece_curves(c, pieces, pot)[0]
 
 
 def test_slice_embedding_rows_equal_the_oracle(monkeypatch):
