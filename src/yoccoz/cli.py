@@ -15,13 +15,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from math import gcd, isfinite
 
 from . import __version__
 from .angles import Angle, normalize
-from .config import Config, config_dict, load_config
+from .config import Config, load_config
 from .errors import Case1DegenerateError, YoccozError
 
 
@@ -56,7 +57,7 @@ def _write(text: str, out: str | None):
 
 
 def _report(cfg: Config, **payload) -> dict:
-    return {"version": __version__, "config": config_dict(cfg), **payload}
+    return {"version": __version__, "config": asdict(cfg), **payload}
 
 
 _LAM_KEYS = {"p": int, "q": int, "depth": int, "theta_v": str}

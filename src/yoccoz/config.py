@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -72,7 +72,3 @@ def load_config(path: str | None, overrides: dict | None = None) -> Config:
         setattr(cfg, key, cast(val))
     cfg.__post_init__()
     return cfg
-
-
-def config_dict(cfg: Config) -> dict:
-    return asdict(cfg)

@@ -53,6 +53,7 @@ from .errors import (
 
 MAX_MATERIALIZED_DEPTH = 18
 MAX_TRACE_ARCS = 1 << 20  # arcs of one gap trace; 2^20 arcs take about 4.5 s and 270 MB
+MAX_ORBIT_LEVEL = 1 << 20  # levels of one orbit record; `tau --n 2^20` takes 2.5 s and 200 MB
 MAX_POLYGONS = 1 << 16  # polygons inside one gap; 2^16 take about 18 s and 320 MB in `tile`
 # The layers hold q (2^(depth+1) - 1) vertices, each a (q + depth)-bit
 # numerator, counted with 64 bits more for the objects and report strings that
@@ -60,6 +61,14 @@ MAX_POLYGONS = 1 << 16  # polygons inside one gap; 2^16 take about 18 s and 320 
 # 440 MB; at q = 16000, depth 0 (0.96 * 2^28) at about 860 MB.
 MAX_LAMINATION_BITS = 1 << 28
 NEVER = math.inf  # separation level of two angles that no level separates
+
+
+def check_orbit_level(level: int):
+    """Refuse a level past MAX_ORBIT_LEVEL: an orbit record, and a tau
+    sequence, hold O(level) Python lists."""
+    if level > MAX_ORBIT_LEVEL:
+        raise ValueError(f"level {level} is over the bound of MAX_ORBIT_LEVEL = "
+                         f"{MAX_ORBIT_LEVEL} levels of one orbit")
 
 
 def alpha_cycle(p: int, q: int) -> list[Angle]:
@@ -344,9 +353,11 @@ class Lamination:
         """The orbit record of theta to ``level``: one forward walk and one
         backward pass.  Its capped values answer every level m <= level too:
         min(L, m + 1 - k) equals min(min(L, level + 1 - k), m + 1 - k).  A
-        vertex of depth <= level is refused (_refuse_vertex)."""
+        level past MAX_ORBIT_LEVEL, and a vertex of depth <= level
+        (_refuse_vertex), are refused."""
         if level < 0:
             raise ValueError("level must be >= 0")
+        check_orbit_level(level)
         self._refuse_vertex(theta, level)
         pos = [where for _, where in islice(self._points(theta.num, theta.den), level + 1)]
         to_value, cells = self._backward(pos, level)

@@ -31,7 +31,7 @@ from .errors import (
     NotRiseAndDropError,
     OnBoundaryError,
 )
-from .lamination import Arc, Lamination
+from .lamination import Arc, Lamination, check_orbit_level
 
 CRITICAL = "CRITICAL"  # sentinel query point: the critical leaf
 
@@ -167,6 +167,7 @@ def tau_sequence(lam: Lamination, theta, n_max: int, start: int = 0) -> list[int
     after the vertex refusal, in the order tau raises."""
     if n_max < 0:
         raise ValueError("n must be >= 0")
+    check_orbit_level(n_max)
     rec = None if theta == CRITICAL else lam.orbit(theta, n_max)
     if start <= n_max:
         lam.guard_level(n_max)

@@ -14,6 +14,7 @@ Geometry conventions: S = (0,1) x (-1/2,1/2), S' = (-1,1)^2, strip = 0 < Im < pi
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -609,10 +610,8 @@ def slice_q_maps(slc, depth: int = 5):
 
     def interp(xs, ys):
         def f(x):
-            import bisect
-
             x = min(max(x, 0.0), 1.0)
-            i = bisect.bisect_right(xs, x) - 1
+            i = bisect_right(xs, x) - 1
             i = min(max(i, 0), len(xs) - 2)
             if xs[i + 1] == xs[i]:
                 return ys[i]
@@ -693,9 +692,7 @@ class SliceEmbeddingReport:
     """Empirical data of the sampled embedding.
 
     The stable quantity is the interior dilatation (quads whose parameters
-    stay 1/8 away from the square's boundary); the full-mesh maximum includes
-    the edge gluing zones of the figure-free extension and carries no
-    stability claim (recorded as such).
+    stay 1/8 away from the square's boundary).
     """
 
     mesh: tuple[int, int]
@@ -704,7 +701,6 @@ class SliceEmbeddingReport:
     corner_errors: list[float]
     max_dilatation: float  # interior region
     refined_max_dilatation: float  # interior region, doubled mesh
-    full_mesh_dilatation: float
     min_offboundary_potential: float
     points: list[list[complex]]
 
@@ -720,8 +716,6 @@ def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
     set of ray-pair landing points.  A model point (u, v) sits at potential
     max(v, 1e-3) * POT_SCALE.
     """
-    from fractions import Fraction as F
-
     from .angles import from_fraction
     from .geometry import ray_point, ray_points
 
@@ -734,7 +728,7 @@ def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
 
     def ray_at(u, v):
         """The ray angle and potential of the model point (u, v)."""
-        theta = F(A + (B - A) * u).limit_denominator(1 << 24)
+        theta = Fraction(A + (B - A) * u).limit_denominator(1 << 24)
         return from_fraction(theta), max(v, 1e-3) * POT_SCALE
 
     def embed(u, v):
@@ -752,21 +746,23 @@ def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
 
     pts = sample(nx, ny)
 
-    def quad_dil(rows, margin: float = 0.0):
+    def quad_dil(rows):
         """Per-quad distortion from the real Jacobian, orientation-agnostic:
         the (angle, potential) parameter square is a reflected conformal
-        chart, so only |det| is meaningful here.  The bottom row of quads sits
-        on the clamped potential floor next to the Julia set (where the model
-        map is only required to degenerate) and is excluded; a positive margin
-        also skips the edge gluing zones of the square extension."""
+        chart, so only |det| is meaningful here.  Quads within 1/8 of the
+        square's boundary are skipped: the bottom row sits on the clamped
+        potential floor next to the Julia set (where the model map is only
+        required to degenerate), and the side and top rows hold the edge
+        gluing zones of the square extension."""
+        margin = 0.125
         worst = 0.0
         NX, NY = len(rows[0]) - 1, len(rows) - 1
         hx, hy = 1.0 / NX, 1.0 / NY
-        for j in range(max(1, math.ceil(margin * NY)), NY - max(0, math.ceil(margin * NY) - 1)):
-            if j >= NY or (margin > 0 and (j + 1) / NY > 1 - margin):
+        for j in range(math.ceil(margin * NY), NY):
+            if (j + 1) / NY > 1 - margin:
                 continue
             for i in range(NX):
-                if margin > 0 and (i / NX < margin or (i + 1) / NX > 1 - margin):
+                if i / NX < margin or (i + 1) / NX > 1 - margin:
                     continue
                 dx = (rows[j][i + 1] - rows[j][i] + rows[j + 1][i + 1] - rows[j + 1][i]) / (2 * hx)
                 dy = (rows[j + 1][i] - rows[j][i] + rows[j + 1][i + 1] - rows[j][i + 1]) / (2 * hy)
@@ -777,9 +773,8 @@ def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
         return worst
 
     refined = sample(2 * nx, 2 * ny)
-    d1 = quad_dil(pts, margin=0.125)
-    d2 = quad_dil(refined, margin=0.125)
-    d_full = quad_dil(pts)
+    d1 = quad_dil(pts)
+    d2 = quad_dil(refined)
 
     monotone = all(q1raw((k + 1) / 200) >= q1raw(k / 200) - 1e-15 for k in range(200))
     corners = [
@@ -793,7 +788,6 @@ def slice_embedding(slc, c, depth: int = 3, mesh: tuple[int, int] | None = None,
         corner_errors=corners,
         max_dilatation=d1,
         refined_max_dilatation=d2,
-        full_mesh_dilatation=d_full,
         min_offboundary_potential=1e-3 * POT_SCALE,
         points=pts,
     )

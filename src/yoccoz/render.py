@@ -71,15 +71,18 @@ def render_puzzle(c, lam, level: int, highlight_annulus: int | None = None,
     """Layered figure of the level-n puzzle: equipotential, alpha rays, piece
     fills, and optionally one critical annulus highlighted."""
     from .angles import normalize
-    from .geometry import RAY_FLOOR, check_window, piece_curves
+    from .errors import YoccozError
+    from .geometry import RAY_FLOOR, piece_curves
     from .puzzle import critical_piece, enumerate_pieces
 
     top = math.log(cfg.start_radius)  # where every ray window starts
     # level n at top / 2^n; level 0 at the level-1 potential, below top
     pot = top * 2.0 ** -max(level, 1)
-    # the piece count grows exponentially with the level: refuse an empty
-    # ray window before enumerating the pieces
-    check_window(pot, RAY_FLOOR)
+    # the piece count grows exponentially with the level: refuse a level whose
+    # rays would have no window above the floor before enumerating the pieces
+    if pot <= RAY_FLOOR:
+        raise YoccozError(f"level {level} draws at potential {pot:g}, at or below the ray "
+                          f"floor RAY_FLOOR = {RAY_FLOOR:g}")
 
     pieces = enumerate_pieces(lam, level)
     annuli = [] if highlight_annulus is None else [

@@ -331,32 +331,22 @@ def test_degenerate_strip_grid_exits_1(tmp_path):
         assert code == 1 and json.loads(out)["error"] == "YoccozError"
 
 
-def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch, lam_json):
-    """render --level 13 puts the piece potential below the 1e-3 ray floor,
-    which it refuses before tracing any ray, so before it finds a
-    disconnected c; pot_lo = 10 lies above the log start_radius every ray
-    starts from."""
+def test_bad_ray_window_exits_1_naming_both_potentials(tmp_path, monkeypatch):
+    """pot_lo = 10 lies above the log start_radius every ray starts from."""
     import contextlib
     import io
 
     monkeypatch.setenv("YOCCOZ_CACHE_DIR", str(tmp_path / "cache"))
     cfgfile = tmp_path / "high.cfg"
     cfgfile.write_text("pot_lo = 10\n")
-    cases = (
-        (["render", "--lam", lam_json, "--c=-1,0", "--level", "13",
-          "--out", str(tmp_path / "deep.svg")], "pot_hi = 0.000562155 and pot_lo = 0.001"),
-        (["render", "--lam", lam_json, "--c=1,0", "--level", "13",
-          "--out", str(tmp_path / "deep.svg")], "pot_hi = 0.000562155 and pot_lo = 0.001"),
-        (["--config", str(cfgfile), "trace", "--c=-1,0", "--theta", "1/3"],
-         "pot_hi = 4.60517 and pot_lo = 10"),
-    )
-    for args, potentials in cases:
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, out = run_cli(args, tmp_path)
-        assert code == 1 and err.getvalue() == ""
-        report = json.loads(out)
-        assert report["error"] == "YoccozError" and potentials in report["message"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["--config", str(cfgfile), "trace", "--c=-1,0", "--theta", "1/3"],
+                            tmp_path)
+    assert code == 1 and err.getvalue() == ""
+    report = json.loads(out)
+    assert report["error"] == "YoccozError"
+    assert "pot_hi = 4.60517 and pot_lo = 10" in report["message"]
     assert not (tmp_path / "deep.svg").exists()
 
 
@@ -438,6 +428,26 @@ def test_polygons_past_the_bound_exit_1(tmp_path, level, count):
         "error": "ValueError",
         "message": f"the level-{level} gap of 111/511 holds {count} polygons, over the bound "
                    f"of MAX_POLYGONS = 65536 polygons"}
+
+
+@pytest.mark.parametrize("args", [["tau", "--theta", "368/511", "--n", "100000000"],
+                                  ["tau", "--theta", "CRITICAL", "--n", "100000000"],
+                                  ["tile", "--level", "100000000"]])
+def test_orbit_past_the_level_bound_exits_1(tmp_path, args):
+    """An orbit record, and tau's CRITICAL list, hold O(level) Python lists:
+    on 222/511 each of these ended in a MemoryError under the cap, and is now
+    refused before any list is built."""
+    lam = str(tmp_path / "lam9.json")
+    assert run_cli(["lamination", "--p", "1", "--q", "2", "--theta-v", "222/511",
+                    "--depth", "8", "--out", lam], tmp_path)[0] == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, args[0], "--lam", lam, *args[1:]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "ValueError",
+        "message": "level 100000000 is over the bound of MAX_ORBIT_LEVEL = 1048576 levels "
+                   "of one orbit"}
 
 
 @pytest.mark.parametrize("q,theta_v,depth,vertices,bits", [
@@ -582,6 +592,25 @@ def test_render_negative_level_exits_1(tmp_path, lam_json):
         assert code == 1
         assert json.loads(out) == {"error": "ValueError", "message": "level must be >= 0"}
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("c, level, pot", [("-1,0", "13", "0.000562155"),
+                                         ("1,0", "13", "0.000562155"),
+                                         ("-1,0", "14", "0.000281077")])
+def test_render_level_below_the_ray_floor_exits_1(tmp_path, lam_json, c, level, pot):
+    """At the default start radius 100, level 13 draws at a potential below
+    the floor its rays stop at: the level is refused by name before any piece
+    is enumerated or any ray traced, so before a disconnected c (1, 0) is
+    found."""
+    out_path = tmp_path / "fig.svg"
+    code, out = run_cli(["render", "--lam", lam_json, f"--c={c}", "--level", level,
+                         "--out", str(out_path)], tmp_path)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "YoccozError",
+        "message": f"level {level} draws at potential {pot}, at or below the ray floor "
+                   f"RAY_FLOOR = 0.001"}
+    assert not out_path.exists()
 
 
 def test_render_writes_svg(tmp_path, lam_json):
